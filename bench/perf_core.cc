@@ -1,6 +1,6 @@
 // Performance microbenchmarks for Daydream's own machinery: trace generation,
-// dependency-graph construction, layer mapping, the simulator engines
-// (compiled plan / pre-change event / reference scan), the graph-mutation
+// dependency-graph construction, layer mapping, the simulator (compiled plan
+// vs the pre-change event engine and the Algorithm-1 oracle), the graph-mutation
 // layer (clone / select / distributed transform at cluster scale), a full
 // what-if round trip, and an end-to-end cluster-scale sweep. The paper's
 // workflow ("profile once, ask many questions", §7.1) depends on
@@ -13,8 +13,8 @@
 //
 // Three headline numbers on the cluster-scale graph (the single-worker
 // profile replicated across 64 workers), all enforced as hard floors:
-//   - dispatch: the compiled-plan engine vs the reference frontier scan
-//     (>= 3x),
+//   - dispatch: the compiled-plan engine vs the Algorithm-1 frontier scan
+//     (tests/reference_scan.h, >= 3x),
 //   - plan: the compiled-plan engine vs a frozen transcription of the
 //     pre-plan event engine — graph-object walks, virtual tie-break calls and
 //     map-keyed thread accounting in the hot loop (>= 2x),
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/event_engine.h"
 #include "src/core/graph_builder.h"
 #include "src/core/layer_map.h"
 #include "src/core/optimizations/amp.h"
@@ -57,6 +56,7 @@
 #include "src/util/logging.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
@@ -196,9 +196,41 @@ void PreChangeWhatIfDistributed(DependencyGraph* graph, const std::vector<Gradie
 // inside every heap comparison, and map-keyed thread_busy accounting. Kept
 // verbatim (modulo the SimResult lane-vector conversion at the end) as the
 // measurable baseline the >= 2x plan floor divides by.
+//
+// The virtual tie-break interface the pre-plan schedulers implemented, with
+// both shipped policies, so the engine still pays an indirect call per
+// comparison.
+class PreChangeScheduler {
+ public:
+  virtual ~PreChangeScheduler() = default;
+  [[gnu::noinline]] virtual bool TieBreakLess(const Task& a, const Task& b) const {
+    return a.id < b.id;
+  }
+};
+
+class PreChangePriorityCommScheduler : public PreChangeScheduler {
+ public:
+  [[gnu::noinline]] bool TieBreakLess(const Task& a, const Task& b) const override {
+    const int pa = a.is_comm() ? a.priority : 0;
+    const int pb = b.is_comm() ? b.priority : 0;
+    if (pa != pb) {
+      return pa > pb;
+    }
+    return a.id < b.id;
+  }
+};
+
+[[gnu::noinline]] std::unique_ptr<PreChangeScheduler> MakePreChangeScheduler(
+    SchedulePolicy policy) {
+  if (policy == SchedulePolicy::kPriorityComm) {
+    return std::make_unique<PreChangePriorityCommScheduler>();
+  }
+  return std::make_unique<PreChangeScheduler>();
+}
+
 struct PreChangeTieCmp {
   const DependencyGraph* graph = nullptr;
-  const Scheduler* scheduler = nullptr;
+  const PreChangeScheduler* scheduler = nullptr;
 
   bool Less(TaskId a, TaskId b) const {
     const Task& ta = graph->task(a);
@@ -256,7 +288,8 @@ struct PreChangeGlobalHeapCmp {
   }
 };
 
-SimResult PreChangeRunEventEngine(const DependencyGraph& graph, const Scheduler& scheduler) {
+SimResult PreChangeRunEventEngine(const DependencyGraph& graph,
+                                  const PreChangeScheduler& scheduler) {
   auto sz = [](TaskId id) { return static_cast<size_t>(id); };
   SimResult result;
   const size_t capacity = static_cast<size_t>(graph.capacity());
@@ -410,7 +443,7 @@ int Main(int argc, char** argv) {
   rows.push_back({"build_graph", MeasureMs([&] { BuildDependencyGraph(trace); })});
   rows.push_back({"layer_map", MeasureMs([&] { LayerMap::Compute(trace); })});
   rows.push_back({"simulate_event", MeasureMs([&] { Simulator().Run(graph); })});
-  rows.push_back({"simulate_reference", MeasureMs([&] { Simulator().RunReference(graph); })});
+  rows.push_back({"simulate_reference", MeasureMs([&] { ReferenceScan(graph); })});
 
   // Importer throughput: the profile-once side of the workflow must keep up
   // with real profiler dumps. Both importers parse the baseline profile from
@@ -525,9 +558,10 @@ int Main(int argc, char** argv) {
   const Simulator simulator;
   const SimPlan dispatch_plan = simulator.Compile(dispatch_graph);
   const SimResult plan_result = dispatch_plan.Run();
-  const SimResult prechange_result =
-      PreChangeRunEventEngine(dispatch_graph, *simulator.scheduler());
-  const SimResult reference_result = simulator.RunReference(dispatch_graph);
+  const std::unique_ptr<PreChangeScheduler> prechange_scheduler =
+      MakePreChangeScheduler(simulator.policy());
+  const SimResult prechange_result = PreChangeRunEventEngine(dispatch_graph, *prechange_scheduler);
+  const SimResult reference_result = ReferenceScan(dispatch_graph);
   DD_CHECK_EQ(plan_result.makespan, reference_result.makespan)
       << "plan engine disagrees with the reference scan on the cluster graph";
   DD_CHECK_EQ(plan_result.dispatched, reference_result.dispatched);
@@ -538,9 +572,8 @@ int Main(int argc, char** argv) {
   const double compile_ms = MeasureMs([&] { simulator.Compile(dispatch_graph); });
   const double plan_ms = MeasureMs([&] { dispatch_plan.Run(); });
   const double prechange_event_ms = MeasureMs(
-      [&] { PreChangeRunEventEngine(dispatch_graph, *simulator.scheduler()); }, 3, 25, 1500.0);
-  const double reference_ms =
-      MeasureMs([&] { simulator.RunReference(dispatch_graph); }, 3, 25, 1500.0);
+      [&] { PreChangeRunEventEngine(dispatch_graph, *prechange_scheduler); }, 3, 25, 1500.0);
+  const double reference_ms = MeasureMs([&] { ReferenceScan(dispatch_graph); }, 3, 25, 1500.0);
   const double plan_tps = static_cast<double>(cluster_tasks) / (plan_ms / 1e3);
   const double reference_tps = static_cast<double>(cluster_tasks) / (reference_ms / 1e3);
   const double dispatch_speedup = reference_ms / plan_ms;
@@ -577,15 +610,14 @@ int Main(int argc, char** argv) {
   // exercises both plan paths — `amp` is timing-only (retimes the shared
   // structure), the distributed cases are structural (full compile).
   std::vector<SweepCase> sweep_cases;
-  sweep_cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr});
+  sweep_cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }});
   for (const double gbps : {10.0, 25.0, 40.0}) {
     DistributedWhatIf opts = dist;
     opts.cluster.network.bandwidth_gbps = gbps;
     sweep_cases.push_back({StrFormat("distributed 4x4 @ %.0f Gbps", gbps),
                            [&trace, opts](DependencyGraph* g) {
                              WhatIfDistributed(g, trace.gradients(), opts);
-                           },
-                           nullptr});
+                           }});
   }
   // The sweep's baseline is the *untransformed* cluster's makespan (the
   // dispatch graph above already carries the distributed what-if).
@@ -608,7 +640,7 @@ int Main(int argc, char** argv) {
   WhatIfPipeline(&pipe_worker, BuildModel(kModel), pipe_opts);
   const DependencyGraph pipe_cluster = ReplicateWorkers(pipe_worker, 16);
   const SimPlan pipe_plan = simulator.Compile(pipe_cluster);
-  DD_CHECK_EQ(pipe_plan.Run().makespan, simulator.RunReference(pipe_cluster).makespan)
+  DD_CHECK_EQ(pipe_plan.Run().makespan, ReferenceScan(pipe_cluster).makespan)
       << "plan engine disagrees with the reference scan on the pipeline cluster graph";
   const double pipeline_ms = MeasureMs([&] {
     simulator.Compile(pipe_cluster);

@@ -1,4 +1,28 @@
-#include "src/core/event_engine.h"
+// Indexed, event-driven implementation of Algorithm 1 over a compiled plan.
+//
+// A literal transcription re-scans the whole frontier on every dispatch and
+// erases from the middle of a vector — O(N·F) on the wide graphs the
+// distributed and P3 what-ifs produce. This engine runs over a SimPlan
+// (src/core/sim_plan.h): the graph's structure is frozen into SoA/CSR arrays
+// and the policy's tie-break into packed integer keys, so one dispatch costs
+// O(log F) with no virtual calls and no graph indirection:
+//
+//   per lane:     now    — ready tasks whose earliest-start bound has already
+//                          passed; they are feasible exactly at the lane's
+//                          progress, so only the pre-resolved key orders them
+//                          (a min-heap of packed uint64 keys).
+//                 future — ready tasks still gated by a parent's completion,
+//                          ordered by (earliest bound, key). When the lane's
+//                          progress advances past a bound the task migrates
+//                          to `now` (each task migrates at most once).
+//   globally:     one entry per lane — its head task keyed by feasible time
+//                 and key — in an ordered index; the minimum is the next
+//                 dispatch, exactly the task Algorithm 1's scan would pick.
+//
+// Dispatching a task touches only its own lane's structures plus the lanes
+// of any children it makes ready, so the engine is event-driven in the DES
+// sense: dispatch times are non-decreasing and no state is recomputed.
+#include "src/core/sim_plan.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -13,7 +37,7 @@
 namespace daydream {
 namespace {
 
-// Plan index of a packed order key (upper 32 bits are the scheduler key).
+// Plan index of a packed order key (upper 32 bits are the policy key).
 inline size_t IndexOf(uint64_t packed) { return static_cast<size_t>(packed & 0xffffffffu); }
 
 // Sentinel for "lane has no ready task".
@@ -177,8 +201,10 @@ SimResult RunEventEngine(const SimPlan& plan) {
     for (; child != child_end; ++child) {
       const size_t ci = static_cast<size_t>(*child);
       TimeNs& e = earliest[ci];
-      // Same deviation from Algorithm 1 line 16 as the reference engine: the
-      // trailing gap delays the task's own lane but not cross-lane children.
+      // Deviation from Algorithm 1 line 16: the trailing gap is CPU-thread-
+      // local overhead, so it delays the task's own lane (via progress) but
+      // not cross-lane children (a kernel may start right when its launch
+      // API returns).
       e = std::max(e, end);
       if (--refs[ci] == 0) {
         const uint32_t cl = static_cast<uint32_t>(s.lane[ci]);
@@ -198,10 +224,6 @@ SimResult RunEventEngine(const SimPlan& plan) {
   }
   DD_CHECK_EQ(result.dispatched, static_cast<int>(n)) << "cycle or disconnected bookkeeping";
   return result;
-}
-
-SimResult RunEventEngine(const DependencyGraph& graph, const Scheduler& scheduler) {
-  return SimPlan::Compile(graph, scheduler).Run();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "src/core/simulator.h"
 #include "src/core/transform.h"
@@ -94,13 +93,9 @@ TimeNs PredictPsIterationTime(const Daydream& daydream, const ModelGraph& model,
 
   WhatIfP3(&graph, model, options);
 
-  std::shared_ptr<Scheduler> scheduler;
-  if (options.prioritize) {
-    scheduler = std::make_shared<PriorityCommScheduler>();
-  } else {
-    scheduler = std::make_shared<EarliestStartScheduler>();
-  }
-  const SimResult sim = Simulator(scheduler).Run(graph);
+  const SimResult sim = Simulator(options.prioritize ? SchedulePolicy::kPriorityComm
+                                                     : SchedulePolicy::kEarliestStart)
+                            .Run(graph);
   // Steady-state period: distance between the two end-of-iteration syncs.
   return sim.EndOf(boundaries[1]) - sim.EndOf(boundaries[0]);
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/core/graph_lint.h"
 #include "src/util/logging.h"
 
 namespace daydream {
@@ -45,38 +44,36 @@ void Daydream::InitBaseline() {
 
 TimeNs Daydream::BaselineSimTime() const { return baseline_sim_; }
 
-PredictionResult Daydream::Predict(const std::function<void(DependencyGraph*)>& transform,
-                                   std::shared_ptr<Scheduler> scheduler, EngineKind engine) const {
+DependencyGraph Daydream::Transform(const std::function<void(DependencyGraph*)>& transform,
+                                   bool full_lint, LintReport* report) const {
   DependencyGraph transformed = graph_.Clone();
-  transform(&transformed);
-#ifndef NDEBUG
-  // Debug/test builds hold every what-if output to the full lint catalog —
-  // timing passes included — so a transform that wires an anchor backward
-  // across iterations fails here, naming the edge, not as a wrong prediction.
-  const LintReport report = GraphLint::LintGraph(transformed);
-  DD_CHECK(report.ok()) << "what-if transform produced a graph that fails lint:\n"
-                        << report.ToString();
-#endif
-  return Evaluate(transformed, std::move(scheduler), engine);
+  if (transform) {
+    transform(&transformed);
+  }
+  *report = full_lint ? GraphLint::LintGraph(transformed) : GraphLint::LintStructure(transformed);
+  return transformed;
 }
 
-PredictionResult Daydream::Evaluate(const DependencyGraph& transformed,
-                                    std::shared_ptr<Scheduler> scheduler,
-                                    EngineKind engine) const {
-  std::string error;
-  DD_CHECK(transformed.Validate(&error)) << "transformed graph invalid: " << error;
-  const Simulator simulator =
-      scheduler == nullptr ? Simulator(std::make_shared<EarliestStartScheduler>(), engine)
-                           : Simulator(std::move(scheduler), engine);
+SimPlan Daydream::Plan(const DependencyGraph& transformed, bool* retimed) const {
+  if (retimed != nullptr) {
+    *retimed = baseline_plan_.CompatibleWith(transformed);
+  }
+  return Simulator().Compile(transformed, &baseline_plan_);
+}
+
+PredictionResult Daydream::Predict(const std::function<void(DependencyGraph*)>& transform) const {
+#ifndef NDEBUG
+  constexpr bool kFullLint = true;
+#else
+  constexpr bool kFullLint = false;
+#endif
+  LintReport report;
+  const DependencyGraph transformed = Transform(transform, kFullLint, &report);
+  DD_CHECK(report.ok()) << "what-if transform produced a graph that fails lint:\n"
+                        << report.ToString();
   PredictionResult result;
   result.baseline = baseline_sim_;
-  if (engine == EngineKind::kEvent && simulator.scheduler()->comparator_based()) {
-    // A clone whose transform only edited timings retimes the baseline plan
-    // (shared structure block) instead of recompiling the CSR arrays.
-    result.predicted = simulator.Compile(transformed, &baseline_plan_).Run().makespan;
-  } else {
-    result.predicted = simulator.Run(transformed).makespan;
-  }
+  result.predicted = RunPlanParallel(Plan(transformed), /*sim_jobs=*/1).makespan;
   return result;
 }
 

@@ -10,12 +10,11 @@
 #define SRC_CORE_PREDICTOR_H_
 
 #include <functional>
-#include <memory>
 
 #include "src/core/dependency_graph.h"
 #include "src/core/graph_builder.h"
+#include "src/core/graph_lint.h"
 #include "src/core/sim_plan.h"
-#include "src/core/simulator.h"
 #include "src/trace/trace.h"
 
 namespace daydream {
@@ -45,27 +44,34 @@ class Daydream {
   // plus warm select indexes are carried over instead of being rebuilt.
   DependencyGraph CloneGraph() const { return graph_.Clone(); }
 
-  // The baseline graph compiled once for the default scheduler ("profile
-  // once"): Evaluate retimes it for timing-only what-ifs, and SweepRunner
-  // shares its structure block across every case that leaves the graph
-  // structure untouched.
+  // The baseline graph compiled once ("profile once"): Plan retimes it for
+  // timing-only what-ifs, sharing its structure block.
   const SimPlan& baseline_plan() const { return baseline_plan_; }
 
   // Simulated makespan of the baseline graph — should reproduce the measured
   // iteration time (validated in tests).
   TimeNs BaselineSimTime() const;
 
-  // Applies `transform` to a copy of the graph and simulates it.
-  // `engine` selects the simulation engine (EngineKind::kReference is the
-  // differential-debugging path behind `--engine=reference`).
-  PredictionResult Predict(const std::function<void(DependencyGraph*)>& transform,
-                           std::shared_ptr<Scheduler> scheduler = nullptr,
-                           EngineKind engine = EngineKind::kEvent) const;
+  // The two steps every prediction path runs — Predict, TraceSession and
+  // SweepRunner all build and plan a what-if through them.
+  //
+  // Transform clones the baseline graph, applies `transform` (none when
+  // empty) and lints the result: the full catalog when `full_lint`, the
+  // structural passes otherwise. *report receives the findings; a graph whose
+  // report is not ok() must not be planned.
+  DependencyGraph Transform(const std::function<void(DependencyGraph*)>& transform,
+                            bool full_lint, LintReport* report) const;
 
-  // Simulates an already-transformed graph against this baseline.
-  PredictionResult Evaluate(const DependencyGraph& transformed,
-                            std::shared_ptr<Scheduler> scheduler = nullptr,
-                            EngineKind engine = EngineKind::kEvent) const;
+  // Plan retimes baseline_plan() when `transformed` is structurally unchanged
+  // since the baseline (SimPlan::CompatibleWith) and compiles a fresh plan
+  // otherwise. *retimed, when non-null, records which.
+  SimPlan Plan(const DependencyGraph& transformed, bool* retimed = nullptr) const;
+
+  // Transform + Plan + dispatch. Debug/test builds hold every what-if output
+  // to the full lint catalog — timing passes included — so a transform that
+  // wires an anchor backward across iterations fails here, naming the edge,
+  // not as a wrong prediction; release builds run the structural passes.
+  PredictionResult Predict(const std::function<void(DependencyGraph*)>& transform) const;
 
  private:
   // Shared tail of both constructors: validate, warm the select indexes,

@@ -23,57 +23,38 @@ bool SimPlan::CompatibleWith(const DependencyGraph& graph) const {
 
 SimResult SimPlan::Run() const { return RunEventEngine(*this); }
 
-void SimPlan::FillTimingAndKeys(const DependencyGraph& graph, const Scheduler& scheduler) {
+namespace {
+
+// The policy lowered to a per-task key: ascending (key, task id) is the
+// dispatch order among tasks feasible at the same instant.
+uint32_t PlanKey(SchedulePolicy policy, const Task& task) {
+  if (policy == SchedulePolicy::kEarliestStart) {
+    return 0;  // tie-break is pure task id, carried by the packed plan index
+  }
+  // Effective priority, mapped order-preservingly to a key that *descends*
+  // with it: bias to unsigned, then flip, so higher priority -> smaller key.
+  const int priority = task.is_comm() ? task.priority : 0;
+  return ~(static_cast<uint32_t>(priority) ^ 0x80000000u);
+}
+
+}  // namespace
+
+void SimPlan::FillTimingAndKeys(const DependencyGraph& graph, SchedulePolicy policy) {
   const Structure& s = *structure_;
   const size_t n = s.task_ids.size();
   duration_.resize(n);
   gap_.resize(n);
   order_key_.resize(n);
-
-  bool static_keys = true;
   for (size_t i = 0; i < n; ++i) {
     const Task& task = graph.task(s.task_ids[i]);
     duration_[i] = task.duration;
     gap_[i] = task.gap;
-    uint32_t key = 0;
-    if (!scheduler.StaticPlanKey(task, &key)) {
-      static_keys = false;
-      break;
-    }
-    order_key_[i] = (static_cast<uint64_t>(key) << 32) | static_cast<uint32_t>(i);
-  }
-  if (static_keys) {
-    return;
-  }
-
-  // Fallback for comparator-based schedulers without a static key: rank every
-  // task with one TieBreakLess sort. Plan indices ascend with task id, so
-  // refining the tie-break by plan index preserves the documented id order.
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const Task& ta = graph.task(s.task_ids[static_cast<size_t>(a)]);
-    const Task& tb = graph.task(s.task_ids[static_cast<size_t>(b)]);
-    if (scheduler.TieBreakLess(ta, tb)) {
-      return true;
-    }
-    if (scheduler.TieBreakLess(tb, ta)) {
-      return false;
-    }
-    return a < b;
-  });
-  for (size_t rank = 0; rank < n; ++rank) {
-    const size_t i = static_cast<size_t>(order[rank]);
-    const Task& task = graph.task(s.task_ids[i]);
-    duration_[i] = task.duration;
-    gap_[i] = task.gap;
-    order_key_[i] = (static_cast<uint64_t>(rank) << 32) | static_cast<uint32_t>(i);
+    order_key_[i] =
+        (static_cast<uint64_t>(PlanKey(policy, task)) << 32) | static_cast<uint32_t>(i);
   }
 }
 
-SimPlan SimPlan::Compile(const DependencyGraph& graph, const Scheduler& scheduler) {
-  DD_CHECK(scheduler.comparator_based()) << "plan compilation needs a comparator-based scheduler";
-
+SimPlan SimPlan::Compile(const DependencyGraph& graph, SchedulePolicy policy) {
   auto s = std::make_shared<Structure>();
   s->capacity = graph.capacity();
   s->graph_stamp = graph.structure_stamp();
@@ -136,7 +117,7 @@ SimPlan SimPlan::Compile(const DependencyGraph& graph, const Scheduler& schedule
 
   SimPlan plan;
   plan.structure_ = std::move(s);
-  plan.FillTimingAndKeys(graph, scheduler);
+  plan.FillTimingAndKeys(graph, policy);
   return plan;
 }
 
@@ -375,9 +356,8 @@ SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadl
 }
 
 SimPlan SimPlan::Retime(const SimPlan& donor, const DependencyGraph& graph,
-                        const Scheduler& scheduler) {
+                        SchedulePolicy policy) {
   DD_CHECK(!donor.empty()) << "retime needs a compiled donor plan";
-  DD_CHECK(scheduler.comparator_based()) << "plan compilation needs a comparator-based scheduler";
   DD_CHECK(donor.CompatibleWith(graph))
       << "retime requires a graph structurally unchanged since the donor was compiled "
       << "(stamp " << graph.structure_stamp() << " vs " << donor.structure_->graph_stamp << ")";
@@ -394,7 +374,7 @@ SimPlan SimPlan::Retime(const SimPlan& donor, const DependencyGraph& graph,
 
   SimPlan plan;
   plan.structure_ = donor.structure_;  // shared, immutable
-  plan.FillTimingAndKeys(graph, scheduler);
+  plan.FillTimingAndKeys(graph, policy);
   return plan;
 }
 

@@ -4,20 +4,19 @@
 // re-simulating a transformed graph (§7.1), so on cluster-scale graphs the
 // dispatch loop dominates end-to-end latency. Walking the graph's node
 // objects during dispatch is cache-hostile: each step loads a ~200-byte Task
-// (with a std::string name), chases per-node edge vectors, and virtual-calls
-// the scheduler's tie-break several times per heap operation.
+// (with a std::string name) and chases per-node edge vectors, several times
+// per heap operation.
 //
-// A SimPlan freezes one graph + one scheduler into the dense form the event
-// engine actually needs:
+// A SimPlan freezes one graph + one SchedulePolicy into the dense form the
+// event engine actually needs:
 //   - structure-of-arrays timing: duration[] and gap[] indexed by a dense
 //     plan index (alive tasks in ascending id order),
 //   - CSR successor lists and predecessor counts (plain int32 spans instead
 //     of per-node vectors),
 //   - the interned lane table plus dense per-lane task sequences,
-//   - pre-resolved scheduler keys: the comparator policy lowers to one
-//     uint64 per task — packed (tie-break key << 32 | plan index) — so the
-//     hot loop orders tasks with single integer compares, zero virtual calls
-//     and zero graph indirection.
+//   - pre-resolved policy keys: the tie-break lowers to one uint64 per task
+//     — packed (tie-break key << 32 | plan index) — so the hot loop orders
+//     tasks with single integer compares and zero graph indirection.
 //
 // The structure block (everything except durations/gaps/keys) is immutable
 // and shared: Compile() with a donor plan — or Simulator::Compile(graph,
@@ -51,22 +50,21 @@ class SimPlan {
  public:
   SimPlan() = default;
 
-  // Freezes `graph` for `scheduler` (must be comparator_based()). Tie-break
-  // keys come from Scheduler::StaticPlanKey when provided, otherwise from one
-  // rank-assigning sort over TieBreakLess — always possible because the order
-  // is state-independent.
-  static SimPlan Compile(const DependencyGraph& graph, const Scheduler& scheduler);
+  // Freezes `graph` for `policy`, lowering its tie-break to one integer key
+  // per task.
+  static SimPlan Compile(const DependencyGraph& graph,
+                         SchedulePolicy policy = SchedulePolicy::kEarliestStart);
 
   // Rebuilds only the timing and key arrays over `donor`'s shared structure
   // block. Requires `graph` to be structurally identical to the graph the
   // donor was compiled from: same structure_stamp(), same capacity — the
   // contract a Clone() that only edited durations/gaps/priorities satisfies.
   static SimPlan Retime(const SimPlan& donor, const DependencyGraph& graph,
-                        const Scheduler& scheduler);
+                        SchedulePolicy policy = SchedulePolicy::kEarliestStart);
 
   // Dispatches the plan (implemented by the event engine,
-  // src/core/event_engine.cc). Produces the same SimResult as
-  // Simulator::RunReference on the graph the plan was compiled from.
+  // src/core/event_engine.cc): Algorithm 1 over the graph the plan was
+  // compiled from.
   SimResult Run() const;
 
   bool empty() const { return structure_ == nullptr; }
@@ -113,10 +111,10 @@ class SimPlan {
   std::vector<TimeNs> duration_;
   std::vector<TimeNs> gap_;
   // Packed dispatch order per task: (tie-break key << 32) | plan index.
-  // Ascending packed order == scheduler tie-break refined by task id.
+  // Ascending packed order == the policy's tie-break refined by task id.
   std::vector<uint64_t> order_key_;
 
-  void FillTimingAndKeys(const DependencyGraph& graph, const Scheduler& scheduler);
+  void FillTimingAndKeys(const DependencyGraph& graph, SchedulePolicy policy);
 };
 
 // Runs the event-driven engine over a compiled plan (same as plan.Run()).
@@ -141,8 +139,8 @@ SimResult RunEventEngine(const SimPlan& plan);
 //
 // Run() executes the windowed barrier loop in the event engine
 // (RunShardedEngine) and produces a SimResult byte-identical to plan.Run()
-// and Simulator::RunReference for every shard count — equality is exact, not
-// approximate (see docs/engine.md, "Parallel dispatch").
+// for every shard count — equality is exact, not approximate (see
+// docs/engine.md, "Parallel dispatch").
 //
 // Shard membership and window positions are structural; window bounds are
 // timing. A ShardPlan captures both from one plan, so recompile it after

@@ -74,7 +74,7 @@ struct Task {
   Phase phase = Phase::kUnknown;
   int64_t bytes = 0;
 
-  // Free-form priority used by custom schedulers (P3's prioritization).
+  // Priority the P3 schedule policy breaks comm-task ties by.
   int priority = 0;
 
   bool is_gpu() const { return type == TaskType::kGpu; }

@@ -1,7 +1,7 @@
 // Graph-transformation primitives (§4.4).
 //
 // The paper's what-if interface: Select tasks of interest, Scale/Shrink their
-// durations, Insert or Remove tasks, and override the scheduler. Optimization
+// durations, Insert or Remove tasks, and pick the schedule policy. Optimization
 // models (src/core/optimizations) are built exclusively from these.
 //
 // The selector builders return TaskQuery values that expose their phase /

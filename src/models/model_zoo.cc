@@ -24,6 +24,15 @@ const char* ModelName(ModelId id) {
   return "?";
 }
 
+std::optional<ModelId> LookupModel(const std::string& name) {
+  for (ModelId id : AllModels()) {
+    if (name == ModelName(id)) {
+      return id;
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<ModelId> AllModels() {
   return {ModelId::kResNet50, ModelId::kVgg19,    ModelId::kDenseNet121, ModelId::kGnmt,
           ModelId::kBertBase, ModelId::kBertLarge, ModelId::kTinyMlp};

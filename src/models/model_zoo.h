@@ -13,6 +13,7 @@
 #ifndef SRC_MODELS_MODEL_ZOO_H_
 #define SRC_MODELS_MODEL_ZOO_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,8 @@ enum class ModelId {
 };
 
 const char* ModelName(ModelId id);
+// The zoo model named `name` (as ModelName spells it), or nullopt.
+std::optional<ModelId> LookupModel(const std::string& name);
 std::vector<ModelId> AllModels();
 // The paper's evaluation set (Table 2): AllModels() without TinyMLP. Tests
 // that assert paper-scale magnitudes (iteration times, accuracy bounds,

@@ -22,104 +22,147 @@ namespace daydream {
 
 namespace {
 
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
+std::string NetworkSignature(const NetworkSpec& network) {
+  return StrFormat("%.17g/%lld/%.17g/%lld", network.bandwidth_gbps,
+                   static_cast<long long>(network.inter_node_latency), network.intra_node_gbs,
+                   static_cast<long long>(network.intra_node_latency));
+}
+
+std::shared_ptr<const ModelGraph> ZooModelGraph(const Trace& trace) {
+  const std::optional<ModelId> model_id = LookupModel(trace.model_name());
+  return model_id ? std::make_shared<const ModelGraph>(BuildModel(*model_id)) : nullptr;
+}
+
+// Appends the case when `request` resolves to a transform over `trace`.
+void AppendCase(std::vector<SweepCase>* cases, std::string name, const WhatIfRequest& request,
+                const Trace& trace, const std::shared_ptr<const ModelGraph>& model) {
+  std::function<void(DependencyGraph*)> transform;
+  std::string error;
+  if (ResolveWhatIf(request, trace, model, &transform, &error) && transform) {
+    cases->push_back({std::move(name), std::move(transform)});
   }
-  return std::nullopt;
 }
 
 }  // namespace
 
-// One case through the prepare stage. Exactly one of `plan` / `graph` is
-// live: the compiled-engine path frees the transformed clone as soon as its
-// plan exists, the reference path keeps the graph (and its scheduler) for
-// Simulate.
+std::string WhatIfRequest::Signature() const {
+  // Only parameters that shape the transform belong here: validate and
+  // sim_jobs select how a transformed graph is consumed, not what it is, and
+  // must not fragment the transform cache.
+  if (what_if == "distributed") {
+    return StrFormat("distributed:%dx%d:%s", cluster.machines, cluster.gpus_per_machine,
+                     NetworkSignature(cluster.network).c_str());
+  }
+  if (what_if == "pipeline") {
+    std::string boundaries;
+    for (int b : pipeline.boundaries) {
+      boundaries += StrFormat(",%d", b);
+    }
+    return StrFormat("pipeline:%d:%d:%d:%s:%s:%lld:%.17g", pipeline.num_stages,
+                     pipeline.num_microbatches, static_cast<int>(pipeline.schedule),
+                     boundaries.c_str(), NetworkSignature(pipeline.network).c_str(),
+                     static_cast<long long>(pipeline.launch_overhead),
+                     pipeline.microbatch_efficiency);
+  }
+  return what_if;
+}
+
+bool ResolveWhatIf(const WhatIfRequest& request, const Trace& trace,
+                   const std::shared_ptr<const ModelGraph>& model,
+                   std::function<void(DependencyGraph*)>* transform, std::string* error) {
+  const std::string& name = request.what_if;
+  *transform = nullptr;
+  if (name == "amp") {
+    *transform = [](DependencyGraph* g) { WhatIfAmp(g); };
+    return true;
+  }
+  if (name == "fused_adam") {
+    *transform = [](DependencyGraph* g) { WhatIfFusedAdam(g); };
+    return true;
+  }
+  if (name == "distributed") {
+    DistributedWhatIf opts;
+    opts.cluster = request.cluster;
+    auto gradients = std::make_shared<const std::vector<GradientInfo>>(trace.gradients());
+    *transform = [gradients, opts](DependencyGraph* g) { WhatIfDistributed(g, *gradients, opts); };
+    return true;
+  }
+  const bool layered = name == "rbn" || name == "metaflow" || name == "gist" || name == "vdnn";
+  if (!layered && name != "pipeline") {
+    *error = StrFormat("unknown what-if '%s'", name.c_str());
+    return false;
+  }
+  if (model == nullptr) {
+    *error = layered ? "trace lacks a known model name (needed for layer kinds)"
+                     : "trace lacks a known model name (needed for activation/parameter sizes)";
+    return true;
+  }
+  if (name == "rbn") {
+    *transform = [model](DependencyGraph* g) { WhatIfRestructuredBatchnorm(g, *model); };
+  } else if (name == "metaflow") {
+    *transform = [model](DependencyGraph* g) { WhatIfMetaFlowFuseConvBn(g, *model); };
+  } else if (name == "gist") {
+    *transform = [model](DependencyGraph* g) { WhatIfGist(g, *model); };
+  } else if (name == "vdnn") {
+    *transform = [model](DependencyGraph* g) { WhatIfVdnn(g, *model); };
+  } else {
+    const PipelineWhatIf opts = request.pipeline;
+    *transform = [model, opts](DependencyGraph* g) { WhatIfPipeline(g, *model, opts); };
+  }
+  return true;
+}
+
+// One case through the prepare stage: the compiled plan only — the
+// transformed clone is freed as soon as its plan exists.
 struct SweepRunner::Prepared {
   size_t index = 0;
   int tasks = 0;
   SimPlan plan;
-  std::unique_ptr<DependencyGraph> graph;
-  std::shared_ptr<Scheduler> scheduler;
 };
 
 SweepRunner::SweepRunner(const Daydream& daydream, SweepOptions options)
-    : baseline_graph_(&daydream.graph()),
-      baseline_sim_(daydream.BaselineSimTime()),
-      baseline_plan_(&daydream.baseline_plan()),
-      options_(options) {}
+    : daydream_(&daydream), baseline_sim_(daydream.BaselineSimTime()), options_(options) {}
 
 SweepRunner::SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
                          SweepOptions options)
-    : baseline_graph_(&baseline), baseline_sim_(baseline_sim), options_(options) {
-  // A reference-engine run never touches a plan; don't pay the cluster-scale
-  // compile for it.
-  if (options_.engine == EngineKind::kEvent) {
-    owned_plan_ = Simulator().Compile(baseline);
-  }
-  baseline_plan_ = &owned_plan_;
-}
+    : owned_(std::make_unique<const Daydream>(Trace(), baseline.Clone())),
+      daydream_(owned_.get()),
+      baseline_sim_(baseline_sim),
+      options_(options) {}
 
 SweepRunner::Prepared SweepRunner::Prepare(const SweepCase& sweep_case, size_t index) const {
   Prepared prepared;
   prepared.index = index;
-  auto transformed = std::make_unique<DependencyGraph>(baseline_graph_->Clone());
-  if (sweep_case.transform) {
-    sweep_case.transform(transformed.get());
-  }
   // Structural verification is non-negotiable — a malformed graph aborts
   // deep inside the engine with no context. --validate escalates to the full
   // lint catalog (timing + smell passes) and reports every finding at once.
-  const LintReport report = options_.validate ? GraphLint::LintGraph(*transformed)
-                                              : GraphLint::LintStructure(*transformed);
+  LintReport report;
+  const DependencyGraph transformed =
+      daydream_->Transform(sweep_case.transform, options_.validate, &report);
   DD_CHECK(report.ok()) << "sweep case '" << sweep_case.name
                         << "' produced an invalid graph:\n"
                         << report.ToString();
-  prepared.tasks = transformed->num_alive();
-
-  std::shared_ptr<Scheduler> scheduler = sweep_case.scheduler != nullptr
-                                             ? sweep_case.scheduler
-                                             : std::make_shared<EarliestStartScheduler>();
-  if (options_.engine == EngineKind::kEvent && scheduler->comparator_based()) {
-    // Timing-only cases retime the shared baseline plan (structure block
-    // reused); structural cases pay a full compile of their own plan.
-    prepared.plan = Simulator(scheduler).Compile(*transformed, baseline_plan_);
-    if (options_.validate) {
-      const LintReport plan_report = GraphLint::LintPlan(prepared.plan, *transformed);
-      DD_CHECK(plan_report.ok()) << "sweep case '" << sweep_case.name
-                                 << "' compiled an inconsistent plan:\n"
-                                 << plan_report.ToString();
-      if (options_.sim_jobs > 1) {
-        // Sharded dispatch trusts the partition/window metadata blindly;
-        // strict mode verifies it per case. The lint-only shard plan is
-        // rebuilt by Simulate (it must reference the plan's final address).
-        const ShardPlan shards = ShardPlan::Compile(prepared.plan, options_.sim_jobs);
-        const LintReport shard_report = GraphLint::LintShards(shards);
-        DD_CHECK(shard_report.ok()) << "sweep case '" << sweep_case.name
-                                    << "' compiled an inconsistent shard plan:\n"
-                                    << shard_report.ToString();
-      }
-    }
-    // The plan is self-contained: release the clone before simulating so a
-    // prepared-but-unsimulated case holds plan-sized, not graph-sized, memory.
-    transformed.reset();
-  } else {
-    prepared.graph = std::move(transformed);
-    prepared.scheduler = std::move(scheduler);
-  }
-  return prepared;
-}
-
-TimeNs SweepRunner::Simulate(Prepared* prepared, ThreadPool* pool) const {
-  if (prepared->graph == nullptr) {
+  prepared.tasks = transformed.num_alive();
+  prepared.plan = daydream_->Plan(transformed);
+  if (options_.validate) {
+    const LintReport plan_report = GraphLint::LintPlan(prepared.plan, transformed);
+    DD_CHECK(plan_report.ok()) << "sweep case '" << sweep_case.name
+                               << "' compiled an inconsistent plan:\n"
+                               << plan_report.ToString();
     if (options_.sim_jobs > 1) {
-      return RunPlanParallel(prepared->plan, options_.sim_jobs, pool).makespan;
+      // Sharded dispatch trusts the partition/window metadata blindly;
+      // strict mode verifies it per case. The lint-only shard plan is
+      // rebuilt at dispatch (it must reference the plan's final address).
+      const ShardPlan shards = ShardPlan::Compile(prepared.plan, options_.sim_jobs);
+      const LintReport shard_report = GraphLint::LintShards(shards);
+      DD_CHECK(shard_report.ok()) << "sweep case '" << sweep_case.name
+                                  << "' compiled an inconsistent shard plan:\n"
+                                  << shard_report.ToString();
     }
-    return prepared->plan.Run().makespan;
   }
-  return Simulator(prepared->scheduler, EngineKind::kReference).Run(*prepared->graph).makespan;
+  // The plan is self-contained: the clone dies here, before simulation, so a
+  // prepared-but-unsimulated case holds plan-sized, not graph-sized, memory.
+  return prepared;
 }
 
 std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
@@ -152,7 +195,8 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
     out.name = sweep_case.name;
     out.tasks = prepared->tasks;
     out.prediction.baseline = baseline_sim_;
-    out.prediction.predicted = Simulate(prepared, shard_pool.get());
+    out.prediction.predicted =
+        RunPlanParallel(prepared->plan, sim_jobs, shard_pool.get()).makespan;
   };
 
   int workers = std::clamp(budget / sim_jobs, 1, static_cast<int>(cases.size()));
@@ -248,58 +292,45 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
 
 std::vector<SweepCase> BuildStandardSweep(const Trace& trace,
                                           const std::vector<ClusterConfig>& clusters) {
+  // One shared immutable model graph serves all layer-structured cases; the
+  // resolver skips them when the trace's model is not in the zoo.
+  const std::shared_ptr<const ModelGraph> model = ZooModelGraph(trace);
   std::vector<SweepCase> cases;
-  cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr});
-  cases.push_back({"fused_adam", [](DependencyGraph* g) { WhatIfFusedAdam(g); }, nullptr});
-
-  if (const std::optional<ModelId> model_id = LookupModel(trace.model_name())) {
-    // One shared immutable model graph serves all layer-structured cases.
-    auto model = std::make_shared<const ModelGraph>(BuildModel(*model_id));
-    cases.push_back(
-        {"rbn", [model](DependencyGraph* g) { WhatIfRestructuredBatchnorm(g, *model); }, nullptr});
-    cases.push_back(
-        {"metaflow", [model](DependencyGraph* g) { WhatIfMetaFlowFuseConvBn(g, *model); }, nullptr});
-    cases.push_back({"gist", [model](DependencyGraph* g) { WhatIfGist(g, *model); }, nullptr});
-    cases.push_back({"vdnn", [model](DependencyGraph* g) { WhatIfVdnn(g, *model); }, nullptr});
+  for (const char* name : {"amp", "fused_adam", "rbn", "metaflow", "gist", "vdnn"}) {
+    WhatIfRequest request;
+    request.what_if = name;
+    AppendCase(&cases, name, request, trace, model);
   }
-
-  if (!clusters.empty()) {
-    auto gradients = std::make_shared<const std::vector<GradientInfo>>(trace.gradients());
-    for (const ClusterConfig& cluster : clusters) {
-      DistributedWhatIf opts;
-      opts.cluster = cluster;
-      cases.push_back({"distributed " + cluster.Label(),
-                       [gradients, opts](DependencyGraph* g) {
-                         WhatIfDistributed(g, *gradients, opts);
-                       },
-                       nullptr});
-    }
+  for (const ClusterConfig& cluster : clusters) {
+    WhatIfRequest request;
+    request.what_if = "distributed";
+    request.cluster = cluster;
+    AppendCase(&cases, "distributed " + cluster.Label(), request, trace, model);
   }
   return cases;
 }
 
 bool AppendPipelineSweep(std::vector<SweepCase>* cases, const Trace& trace,
                          const PipelineSweepSpec& spec) {
-  const std::optional<ModelId> model_id = LookupModel(trace.model_name());
-  if (!model_id.has_value()) {
+  const std::shared_ptr<const ModelGraph> model = ZooModelGraph(trace);
+  if (model == nullptr) {
     return false;
   }
-  auto model = std::make_shared<const ModelGraph>(BuildModel(*model_id));
   std::vector<PipelineScheduleKind> schedules = spec.schedules;
   if (schedules.empty()) {
     schedules = {PipelineScheduleKind::k1F1B, PipelineScheduleKind::kGPipe};
   }
   for (const int stages : spec.stages) {
     for (const PipelineScheduleKind kind : schedules) {
-      PipelineWhatIf opts;
-      opts.num_stages = stages;
-      opts.num_microbatches = spec.microbatches;
-      opts.schedule = kind;
-      opts.network = spec.network;
-      cases->push_back({StrFormat("pipeline %dst/%dmb %s", stages, spec.microbatches,
-                                  ToString(kind)),
-                        [model, opts](DependencyGraph* g) { WhatIfPipeline(g, *model, opts); },
-                        nullptr});
+      WhatIfRequest request;
+      request.what_if = "pipeline";
+      request.pipeline.num_stages = stages;
+      request.pipeline.num_microbatches = spec.microbatches;
+      request.pipeline.schedule = kind;
+      request.pipeline.network = spec.network;
+      AppendCase(cases,
+                 StrFormat("pipeline %dst/%dmb %s", stages, spec.microbatches, ToString(kind)),
+                 request, trace, model);
     }
   }
   return true;

@@ -4,16 +4,16 @@
 // against one parsed trace. The expensive per-trace work (parsing, dependency
 // graph construction, baseline simulation, baseline plan compilation) happens
 // exactly once, in the shared Daydream instance. Each sweep case is then a
-// two-stage pipeline job:
+// two-stage pipeline job over Daydream's two prediction steps:
 //
-//   prepare:  clone the baseline graph, apply the transformation, freeze the
-//             result into a SimPlan. Timing-only transformations (duration /
-//             gap / priority edits — AMP-style scaling) retime the shared
-//             baseline plan instead of recompiling its CSR structure
-//             (DependencyGraph::structure_stamp() certifies this).
-//   simulate: dispatch the compiled plan. The source clone is released as
-//             soon as the plan exists, so a prepared case holds plan-sized
-//             memory, not graph-sized memory.
+//   prepare:  Daydream::Transform (clone the baseline graph, apply the
+//             transformation, lint), then Daydream::Plan — timing-only
+//             transformations (duration / gap / priority edits — AMP-style
+//             scaling) retime the shared baseline plan instead of recompiling
+//             its CSR structure (DependencyGraph::structure_stamp() certifies
+//             this). The clone is released as soon as the plan exists, so a
+//             prepared case holds plan-sized memory, not graph-sized memory.
+//   simulate: dispatch the compiled plan (RunPlanParallel).
 //
 // Workers interleave the two stages from a shared queue with a bounded number
 // of prepared-but-unsimulated cases in flight: a case's clone+transform
@@ -21,6 +21,10 @@
 // own, which is what makes wide sweep matrices approach full-machine
 // throughput (§7.1's workflow: the profile is collected once, and every
 // question asked of it is cheap).
+//
+// This header also holds the one what-if resolver (ResolveWhatIf): sweep
+// case construction and the service layer's single predictions map what-if
+// names to graph transforms through it.
 #ifndef SRC_RUNTIME_SWEEP_H_
 #define SRC_RUNTIME_SWEEP_H_
 
@@ -30,7 +34,9 @@
 #include <vector>
 
 #include "src/comm/network_spec.h"
+#include "src/core/optimizations/pipeline_transform.h"
 #include "src/core/predictor.h"
+#include "src/models/model_graph.h"
 #include "src/parallel/pipeline.h"
 #include "src/util/deadline.h"
 
@@ -38,12 +44,39 @@ namespace daydream {
 
 class ThreadPool;
 
-// One cell of the sweep matrix: a named graph transformation plus an optional
-// scheduler override (null = the default EarliestStart policy).
+// One what-if question, as data: the `daydream predict` flags and the serve
+// protocol build the same request (tools/cli_args.h ParseWhatIfRequest).
+struct WhatIfRequest {
+  std::string what_if;       // amp|fused_adam|rbn|metaflow|gist|vdnn|distributed|pipeline
+  ClusterConfig cluster;     // distributed
+  PipelineWhatIf pipeline;   // pipeline
+  bool validate = false;     // full lint catalog over the transformed graph
+  // Shards for the plan dispatch (sharded parallel engine; 1 = serial).
+  // Consumption-only, like validate: it changes how fast the answer arrives,
+  // never the answer, so it must not enter Signature() — requests differing
+  // only in sim_jobs share cached transforms and plans.
+  int sim_jobs = 1;
+
+  // Canonical cache signature: every parameter that shapes the transform.
+  std::string Signature() const;
+};
+
+// Resolves request.what_if to its graph transform. `trace` supplies the
+// gradient metadata distributed what-ifs need; `model` is the model graph of
+// the trace's zoo model (null when the model is not in the zoo), which the
+// layer-structured what-ifs (rbn, metaflow, gist, vdnn) and pipeline need.
+// Returns false with *error set when the name is not a graph transform — p3
+// included: it reports its own metric through PredictPsIterationTime.
+// Returns true otherwise, with *transform set, or left empty with *error set
+// when the what-if needs a null `model`.
+bool ResolveWhatIf(const WhatIfRequest& request, const Trace& trace,
+                   const std::shared_ptr<const ModelGraph>& model,
+                   std::function<void(DependencyGraph*)>* transform, std::string* error);
+
+// One cell of the sweep matrix: a named graph transformation.
 struct SweepCase {
   std::string name;
   std::function<void(DependencyGraph*)> transform;
-  std::shared_ptr<Scheduler> scheduler;
 };
 
 struct SweepOutcome {
@@ -64,10 +97,6 @@ struct SweepOptions {
   // Worth > 1 only when the matrix is narrower than the machine — at full
   // case-width, case-level parallelism already saturates every core.
   int sim_jobs = 1;
-  // Simulation engine per case; kReference is the differential-debugging
-  // path (`daydream sweep --engine=reference`). Cases whose scheduler is not
-  // comparator-based run on the reference engine regardless.
-  EngineKind engine = EngineKind::kEvent;
   // Strict verification (`daydream sweep --validate`): every transformed
   // graph runs the full GraphLint catalog (timing + smell passes, not just
   // the structural set) and every compiled plan is linted against its graph
@@ -89,14 +118,10 @@ class SweepRunner {
 
   // Benchmark/testing entry: sweep over a pre-built baseline graph without
   // the trace machinery. `baseline_sim` is the makespan reported as every
-  // outcome's baseline; the baseline plan is compiled here, once.
+  // outcome's baseline; the runner owns a Daydream over a clone of
+  // `baseline`, so its baseline plan is compiled here, once.
   SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
               SweepOptions options = SweepOptions{});
-
-  // Non-copyable/movable: baseline_plan_ may point into owned_plan_, and the
-  // runner references caller-owned state anyway.
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
 
   // Evaluates every case (concurrently when options.num_threads != 1);
   // outcomes are returned in case order. When options.deadline expires the
@@ -111,13 +136,10 @@ class SweepRunner {
   struct Prepared;
 
   Prepared Prepare(const SweepCase& sweep_case, size_t index) const;
-  // `pool` is the shared shard-dispatch pool (null when sim_jobs <= 1).
-  TimeNs Simulate(Prepared* prepared, ThreadPool* pool) const;
 
-  const DependencyGraph* baseline_graph_;
+  std::unique_ptr<const Daydream> owned_;  // set by the graph-baseline entry
+  const Daydream* daydream_;               // the caller's, or owned_
   TimeNs baseline_sim_;
-  const SimPlan* baseline_plan_;  // Daydream's, or owned_plan_
-  SimPlan owned_plan_;
   SweepOptions options_;
 };
 

@@ -12,7 +12,6 @@ size_t PlanCache::KeyHash::operator()(const Key& key) const {
   auto mix = [&seed](size_t h) {
     seed ^= h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
   };
-  mix(std::hash<std::string>{}(key.scheduler));
   mix(std::hash<std::string>{}(key.signature));
   return seed;
 }
@@ -59,32 +58,15 @@ void PlanCache::Put(const Key& key, std::shared_ptr<const SimPlan> plan, bool re
   }
 }
 
-void PlanCache::EraseMatching(const std::function<bool(const Key&)>& predicate) {
+void PlanCache::Erase(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (predicate(it->first)) {
-      index_.erase(it->first);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    return;
   }
-}
-
-void PlanCache::EraseStamp(uint64_t stamp) {
-  EraseMatching([stamp](const Key& key) { return key.stamp == stamp; });
-}
-
-void PlanCache::Erase(uint64_t stamp, const std::string& signature) {
-  EraseMatching([stamp, &signature](const Key& key) {
-    return key.stamp == stamp && key.signature == signature;
-  });
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
+  lru_.erase(it->second);
+  index_.erase(it);
+  ++stats_.evictions;
 }
 
 size_t PlanCache::size() const {

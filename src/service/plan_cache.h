@@ -3,15 +3,13 @@
 // A TraceSession answers repeated what-if queries against one profiled trace;
 // the expensive step per query is freezing the transformed graph into a
 // SimPlan (CSR compile: ~100 ms at cluster scale). The cache keys plans on
-// the transformed graph's DependencyGraph::structure_stamp() plus the
-// scheduler's identity, so a repeated query is a lookup + plan dispatch
-// instead of a recompile. Timing-only what-ifs (AMP-style duration edits)
-// share the baseline structure stamp — their plans differ only in the SoA
-// timing arrays — so the key carries the request signature as a third
-// component to keep timing variants of one structure apart. The stamp is
-// what *invalidation* checks: structural mutation bumps it, making every
-// cached plan for the old stamp unreachable (EraseStamp reclaims them
-// eagerly).
+// the transformed graph's DependencyGraph::structure_stamp(), so a repeated
+// query is a lookup + plan dispatch instead of a recompile. Timing-only
+// what-ifs (AMP-style duration edits) share the baseline structure stamp —
+// their plans differ only in the SoA timing arrays — so the key carries the
+// request signature as a second component to keep timing variants of one
+// structure apart. The stamp is what *invalidation* checks: structural
+// mutation bumps it, making every cached plan for the old stamp unreachable.
 //
 // Bounded LRU with hit/miss/eviction/retime/compile counters; all entry
 // points are thread-safe (the RequestExecutor hits one cache from many
@@ -20,7 +18,6 @@
 #define SRC_SERVICE_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -46,7 +43,6 @@ class PlanCache {
  public:
   struct Key {
     uint64_t stamp = 0;       // transformed graph's structure_stamp()
-    std::string scheduler;    // scheduler identity (e.g. "earliest_start")
     std::string signature;    // canonical what-if signature; disambiguates
                               // timing variants over one shared structure
     bool operator==(const Key& other) const = default;
@@ -61,12 +57,10 @@ class PlanCache {
   // past capacity. `retimed` records how the miss was filled (stats only).
   void Put(const Key& key, std::shared_ptr<const SimPlan> plan, bool retimed);
 
-  // Invalidation hooks. EraseStamp drops every plan compiled from a given
-  // structure (the after-structural-mutation hook); Erase drops one
-  // signature's plans across schedulers (transform-cache eviction).
-  void EraseStamp(uint64_t stamp);
-  void Erase(uint64_t stamp, const std::string& signature);
-  void Clear();
+  // Drops one plan — the session's hook when it evicts the transformed graph
+  // the plan was compiled from. Counts as an eviction when the key was
+  // cached.
+  void Erase(const Key& key);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
@@ -79,8 +73,6 @@ class PlanCache {
   // Most-recent first; Entry pairs the key back so eviction can erase from
   // the index.
   using LruList = std::list<std::pair<Key, std::shared_ptr<const SimPlan>>>;
-
-  void EraseMatching(const std::function<bool(const Key&)>& predicate);
 
   const size_t capacity_;
   mutable std::mutex mu_;

@@ -534,11 +534,6 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
           "bad jobs '" + args.Get("jobs") + "' (expected a non-negative integer)");
       return response;
     }
-    const std::optional<EngineKind> engine = ParseEngineKind(args, &error);
-    if (!engine.has_value()) {
-      response.line = ErrorResponse(id, "bad_request", error);
-      return response;
-    }
     const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, &error);
     if (!pipeline.has_value()) {
       response.line = ErrorResponse(id, "bad_request", error);
@@ -567,7 +562,6 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
     }
     SweepOptions options;
     options.num_threads = *jobs;
-    options.engine = *engine;
     options.validate = args.Has("validate");
     options.sim_jobs = std::clamp(*sim_jobs, 1, sim_jobs_cap_);
     options.deadline = deadline;

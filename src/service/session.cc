@@ -8,57 +8,10 @@
 #include "src/core/critical_path.h"
 #include "src/core/graph_builder.h"
 #include "src/core/layer_report.h"
-#include "src/core/optimizations/optimizations.h"
 #include "src/util/fault.h"
 #include "src/util/string_util.h"
 
 namespace daydream {
-
-namespace {
-
-// The default scheduler's identity in PlanCache keys. Custom schedulers are
-// not reachable through the service API yet; the key field exists so adding
-// them never aliases a cached plan.
-constexpr char kDefaultSchedulerKey[] = "earliest_start";
-
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string NetworkSignature(const NetworkSpec& network) {
-  return StrFormat("%.17g/%lld/%.17g/%lld", network.bandwidth_gbps,
-                   static_cast<long long>(network.inter_node_latency), network.intra_node_gbs,
-                   static_cast<long long>(network.intra_node_latency));
-}
-
-}  // namespace
-
-std::string WhatIfRequest::Signature() const {
-  // Only parameters that shape the transform belong here: engine/validate
-  // select how a transformed graph is consumed, not what it is, and must not
-  // fragment the transform cache.
-  if (what_if == "distributed") {
-    return StrFormat("distributed:%dx%d:%s", cluster.machines, cluster.gpus_per_machine,
-                     NetworkSignature(cluster.network).c_str());
-  }
-  if (what_if == "pipeline") {
-    std::string boundaries;
-    for (int b : pipeline.boundaries) {
-      boundaries += StrFormat(",%d", b);
-    }
-    return StrFormat("pipeline:%d:%d:%d:%s:%s:%lld:%.17g", pipeline.num_stages,
-                     pipeline.num_microbatches, static_cast<int>(pipeline.schedule),
-                     boundaries.c_str(), NetworkSignature(pipeline.network).c_str(),
-                     static_cast<long long>(pipeline.launch_overhead),
-                     pipeline.microbatch_efficiency);
-  }
-  return what_if;
-}
 
 std::shared_ptr<TraceSession> TraceSession::Create(Trace trace, SessionOptions options,
                                                    std::string* error) {
@@ -98,56 +51,10 @@ TraceSession::TraceSession(Trace trace, DependencyGraph graph, SessionOptions op
 SessionStatus TraceSession::ResolveTransform(const WhatIfRequest& request,
                                              std::function<void(DependencyGraph*)>* transform,
                                              std::string* error) const {
-  const std::string& what_if = request.what_if;
-  if (what_if == "amp") {
-    *transform = [](DependencyGraph* g) { WhatIfAmp(g); };
-    return SessionStatus::kOk;
+  if (!ResolveWhatIf(request, daydream_.trace(), model_graph_, transform, error)) {
+    return SessionStatus::kUnknownWhatIf;
   }
-  if (what_if == "fused_adam") {
-    *transform = [](DependencyGraph* g) { WhatIfFusedAdam(g); };
-    return SessionStatus::kOk;
-  }
-  if (what_if == "rbn" || what_if == "metaflow" || what_if == "gist" || what_if == "vdnn") {
-    if (model_graph_ == nullptr) {
-      *error = "trace lacks a known model name (needed for layer kinds)";
-      return SessionStatus::kBadRequest;
-    }
-    // The layer-structured what-ifs need the model graph for layer kinds.
-    std::shared_ptr<const ModelGraph> model = model_graph_;
-    if (what_if == "rbn") {
-      *transform = [model](DependencyGraph* g) { WhatIfRestructuredBatchnorm(g, *model); };
-    } else if (what_if == "metaflow") {
-      *transform = [model](DependencyGraph* g) { WhatIfMetaFlowFuseConvBn(g, *model); };
-    } else if (what_if == "gist") {
-      *transform = [model](DependencyGraph* g) { WhatIfGist(g, *model); };
-    } else {
-      *transform = [model](DependencyGraph* g) { WhatIfVdnn(g, *model); };
-    }
-    return SessionStatus::kOk;
-  }
-  if (what_if == "pipeline") {
-    if (model_graph_ == nullptr) {
-      *error = "trace lacks a known model name (needed for activation/parameter sizes)";
-      return SessionStatus::kBadRequest;
-    }
-    std::shared_ptr<const ModelGraph> model = model_graph_;
-    const PipelineWhatIf opts = request.pipeline;
-    *transform = [model, opts](DependencyGraph* g) { WhatIfPipeline(g, *model, opts); };
-    return SessionStatus::kOk;
-  }
-  if (what_if == "distributed") {
-    DistributedWhatIf opts;
-    opts.cluster = request.cluster;
-    const std::vector<GradientInfo> gradients = daydream_.trace().gradients();
-    *transform = [opts, gradients](DependencyGraph* g) {
-      WhatIfDistributed(g, gradients, opts);
-    };
-    return SessionStatus::kOk;
-  }
-  // p3 lands here on purpose: it is not a graph transform (it reports its own
-  // metric through PredictPsIterationTime against session->daydream()).
-  *error = StrFormat("unknown what-if '%s'", what_if.c_str());
-  return SessionStatus::kUnknownWhatIf;
+  return *transform ? SessionStatus::kOk : SessionStatus::kBadRequest;
 }
 
 SessionStatus TraceSession::TransformedGraph(
@@ -168,11 +75,11 @@ SessionStatus TraceSession::TransformedGraph(
   // Build outside the lock: clone + transform can take tens of milliseconds
   // and the baseline graph supports concurrent const access (the SweepRunner
   // contract).
-  auto transformed = std::make_shared<DependencyGraph>(daydream_.CloneGraph());
-  transform(transformed.get());
   // Structural lint before anyone compiles this graph — SimPlan::Compile
   // DD_CHECKs on a broken structure, and a daemon must refuse, not abort.
-  const LintReport report = GraphLint::LintStructure(*transformed);
+  LintReport report;
+  auto transformed = std::make_shared<DependencyGraph>(
+      daydream_.Transform(transform, /*full_lint=*/false, &report));
   if (!report.ok()) {
     *error = StrFormat("what-if '%s' produced an invalid graph:\n", request.what_if.c_str()) +
              report.ToString();
@@ -195,8 +102,10 @@ SessionStatus TraceSession::TransformedGraph(
       if (victim == it) {
         break;
       }
-      // The victim's graph is unreachable now, so its cached plans are too.
-      plan_cache_.EraseStamp(victim->second.graph->structure_stamp());
+      // The victim's graph is unreachable now, so its cached plan is too.
+      // Erase exactly its key: timing-only transforms all keep the baseline
+      // structure stamp, so the stamp alone would drop their plans as well.
+      plan_cache_.Erase({victim->second.graph->structure_stamp(), victim->first});
       transforms_.erase(victim);
     }
   } else {
@@ -243,16 +152,7 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
   outcome->tasks = tasks;
   outcome->prediction.baseline = daydream_.BaselineSimTime();
 
-  if (request.engine == EngineKind::kReference) {
-    // The Algorithm-1 differential-debugging scan has no compiled plan to
-    // cache; it bypasses the PlanCache entirely.
-    outcome->plan_cache_hit = false;
-    const Simulator simulator(std::make_shared<EarliestStartScheduler>(), EngineKind::kReference);
-    outcome->prediction.predicted = simulator.Run(*graph).makespan;
-    return SessionStatus::kOk;
-  }
-
-  const PlanCache::Key key{graph->structure_stamp(), kDefaultSchedulerKey, request.Signature()};
+  const PlanCache::Key key{graph->structure_stamp(), request.Signature()};
   std::shared_ptr<const SimPlan> plan = plan_cache_.Get(key);
   outcome->plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
@@ -260,36 +160,27 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
       *error = "injected fault at plan_compile";
       return SessionStatus::kUnavailable;
     }
-    // Timing-only transforms leave the baseline structure stamp intact, so
-    // the baseline plan donates its structure block (Retime); anything else
-    // pays the full CSR compile.
-    const bool retime = daydream_.baseline_plan().CompatibleWith(*graph);
-    const Simulator simulator;
-    plan = std::make_shared<const SimPlan>(
-        simulator.Compile(*graph, retime ? &daydream_.baseline_plan() : nullptr));
-    plan_cache_.Put(key, plan, retime);
+    bool retimed = false;
+    plan = std::make_shared<const SimPlan>(daydream_.Plan(*graph, &retimed));
+    plan_cache_.Put(key, plan, retimed);
   }
   if (deadline.Expired()) {
     *error = "deadline expired before plan dispatch";
     return SessionStatus::kDeadlineExceeded;
   }
   // sim_jobs is clamped to the machine here (the serve executor additionally
-  // caps it against its own worker count before the request reaches us).
+  // caps it against its own worker count before the request reaches us). The
+  // sharded engine checks the deadline between synchronization horizons —
+  // the only dispatch path with a cooperative mid-run exit.
   const int sim_jobs =
       std::clamp(request.sim_jobs, 1,
                  std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
-  if (sim_jobs > 1) {
-    // The sharded engine checks the deadline between synchronization
-    // horizons — the only dispatch path with a cooperative mid-run exit.
-    bool deadline_hit = false;
-    outcome->prediction.predicted =
-        RunPlanParallel(*plan, sim_jobs, nullptr, &deadline, &deadline_hit).makespan;
-    if (deadline_hit) {
-      *error = "deadline expired during sharded plan dispatch";
-      return SessionStatus::kDeadlineExceeded;
-    }
-  } else {
-    outcome->prediction.predicted = plan->Run().makespan;
+  bool deadline_hit = false;
+  outcome->prediction.predicted =
+      RunPlanParallel(*plan, sim_jobs, nullptr, &deadline, &deadline_hit).makespan;
+  if (deadline_hit) {
+    *error = "deadline expired during plan dispatch";
+    return SessionStatus::kDeadlineExceeded;
   }
   return SessionStatus::kOk;
 }
@@ -310,17 +201,13 @@ SessionStatus TraceSession::Lint(const WhatIfRequest* request, LintReport* repor
     }
   }
 
-  DependencyGraph graph = daydream_.CloneGraph();
-  if (transform) {
-    transform(&graph);
-  }
-  *report = GraphLint::LintGraph(graph);
+  const DependencyGraph graph = daydream_.Transform(transform, /*full_lint=*/true, report);
 
   // Lint the compiled plan too — but only for a graph whose structure held
   // up, since Compile DD_CHECKs on (and a cyclic graph would wedge it).
   *plan_passes_run = report->ok();
   if (report->ok()) {
-    const SimPlan plan = Simulator().Compile(graph);
+    const SimPlan plan = daydream_.Plan(graph);
     const LintReport plan_report = GraphLint::LintPlan(plan, graph);
     report->findings.insert(report->findings.end(), plan_report.findings.begin(),
                             plan_report.findings.end());

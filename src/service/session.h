@@ -7,11 +7,11 @@
 // baseline simulation — and then answers an arbitrary number of
 // predict/sweep/lint queries against it:
 //
-//   - Predict resolves a WhatIfRequest to a graph transform (the resolution
-//     logic that used to be inlined in the CLI), caches the transformed graph
-//     per request signature, and serves the compiled plan from the PlanCache:
-//     a repeated query is a lookup + plan dispatch; a timing-only what-if
-//     that misses fills the cache through SimPlan::Retime over the baseline
+//   - Predict resolves a WhatIfRequest to a graph transform (ResolveWhatIf,
+//     src/runtime/sweep.h), caches the transformed graph per request
+//     signature, and serves the compiled plan from the PlanCache: a repeated
+//     query is a lookup + plan dispatch; a timing-only what-if that misses
+//     fills the cache through Daydream::Plan's Retime over the baseline
 //     structure instead of a full CSR compile.
 //   - Sweep runs a case matrix through the existing SweepRunner pipeline over
 //     this session's shared Daydream instance.
@@ -33,10 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/network_spec.h"
 #include "src/core/graph_lint.h"
 #include "src/core/layer_map.h"
-#include "src/core/optimizations/pipeline_transform.h"
 #include "src/core/predictor.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/sweep.h"
@@ -44,25 +42,6 @@
 #include "src/util/deadline.h"
 
 namespace daydream {
-
-// One what-if query against a session — the parameters `daydream predict`
-// used to scatter across flags, as data so the CLI and the serve protocol
-// build the same request.
-struct WhatIfRequest {
-  std::string what_if;       // amp|fused_adam|rbn|metaflow|gist|vdnn|distributed|pipeline
-  ClusterConfig cluster;     // distributed
-  PipelineWhatIf pipeline;   // pipeline
-  EngineKind engine = EngineKind::kEvent;
-  bool validate = false;     // full lint catalog over the transformed graph
-  // Shards for the plan dispatch (sharded parallel engine; 1 = serial).
-  // Consumption-only, like engine/validate: it changes how fast the answer
-  // arrives, never the answer, so it must not enter Signature() — requests
-  // differing only in sim_jobs share cached transforms and plans.
-  int sim_jobs = 1;
-
-  // Canonical cache signature: every parameter that shapes the transform.
-  std::string Signature() const;
-};
 
 struct PredictOutcome {
   PredictionResult prediction;
@@ -104,8 +83,9 @@ class TraceSession {
   const LayerMap& layer_map() const { return layer_map_; }
   std::optional<ModelId> model_id() const { return model_id_; }
 
-  // Resolves request.what_if to a graph transform (p3 is not a graph
-  // transform — it reports its own metric; see PredictPsIterationTime).
+  // Resolves request.what_if to a graph transform through ResolveWhatIf with
+  // this session's model graph (p3 is not a graph transform — it reports its
+  // own metric; see PredictPsIterationTime).
   SessionStatus ResolveTransform(const WhatIfRequest& request,
                                  std::function<void(DependencyGraph*)>* transform,
                                  std::string* error) const;
@@ -153,8 +133,8 @@ class TraceSession {
   TraceSession(Trace trace, DependencyGraph graph, SessionOptions options);
 
   // Returns the cached transformed graph for the request signature, building
-  // (clone + transform + structural lint) on miss. kLintFailed when the
-  // transform output is rejected.
+  // it through Daydream::Transform (clone + transform + structural lint) on
+  // miss. kLintFailed when the transform output is rejected.
   SessionStatus TransformedGraph(const WhatIfRequest& request,
                                  const std::function<void(DependencyGraph*)>& transform,
                                  std::shared_ptr<const DependencyGraph>* graph, int* tasks,

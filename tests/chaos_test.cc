@@ -10,7 +10,9 @@
 // transport plumbing: a dropped or doubled response is precisely the bug
 // class this suite exists to catch.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -31,11 +33,15 @@ namespace {
 class ChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    trace_path_ = new std::string(::testing::TempDir() + "chaos_test_tinymlp.ddtrace");
+    // Per-process name: ctest runs every test case as its own process, and
+    // concurrent suites must not rewrite a trace another one is reading.
+    trace_path_ = new std::string(::testing::TempDir() +
+                                  StrFormat("chaos_test_tinymlp.%d.ddtrace", getpid()));
     const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
     ASSERT_TRUE(WriteTraceFile(trace, *trace_path_));
   }
   static void TearDownTestSuite() {
+    std::remove(trace_path_->c_str());
     delete trace_path_;
     trace_path_ = nullptr;
   }

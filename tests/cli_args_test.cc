@@ -135,26 +135,6 @@ TEST(ParseClusterList, CrossProductOfShapesAndBandwidths) {
   EXPECT_EQ((*clusters)[3].gpus_per_machine, 4);
 }
 
-TEST(ParseEngineKind, DefaultsToEvent) {
-  EXPECT_EQ(ParseEngineKind(Args{}), EngineKind::kEvent);
-}
-
-TEST(ParseEngineKind, AcceptsBothEngines) {
-  Args args;
-  args.flags["engine"] = "event";
-  EXPECT_EQ(ParseEngineKind(args), EngineKind::kEvent);
-  args.flags["engine"] = "reference";
-  EXPECT_EQ(ParseEngineKind(args), EngineKind::kReference);
-}
-
-TEST(ParseEngineKind, RejectsUnknownValues) {
-  for (const char* bad : {"Event", "ref", "plan", "", " event"}) {
-    Args args;
-    args.flags["engine"] = bad;
-    EXPECT_FALSE(ParseEngineKind(args).has_value()) << "--engine '" << bad << "'";
-  }
-}
-
 TEST(ParseClusterList, RejectsAnyBadEntry) {
   for (const char* bad : {"2x2,4xa", "2x2,", ",2x2", "0x1"}) {
     Args args;
@@ -257,7 +237,6 @@ TEST(ParseWhatIfRequest, BuildsTheSessionRequest) {
   args.flags["what-if"] = "distributed";
   args.flags["cluster"] = "2x4";
   args.flags["gbps"] = "25";
-  args.flags["engine"] = "reference";
   args.flags["validate"] = "1";
   WhatIfRequest request;
   std::string error;
@@ -266,7 +245,6 @@ TEST(ParseWhatIfRequest, BuildsTheSessionRequest) {
   EXPECT_EQ(request.cluster.machines, 2);
   EXPECT_EQ(request.cluster.gpus_per_machine, 4);
   EXPECT_DOUBLE_EQ(request.cluster.network.bandwidth_gbps, 25.0);
-  EXPECT_EQ(request.engine, EngineKind::kReference);
   EXPECT_TRUE(request.validate);
 }
 

@@ -1,12 +1,12 @@
-// Differential test between the two simulator engines: the compiled-plan
-// event engine (Simulator::Run with a comparator-based scheduler, or an
-// explicit SimPlan) must reproduce the reference Algorithm-1 scan
-// (Simulator::RunReference) *exactly* — same makespan, same per-task
-// start/end, same per-lane accounting — on every model in the zoo under every
-// what-if transformation, on P3's priority-scheduled parameter-server graphs,
-// on replicated multi-worker cluster graphs, and on seeded random DAGs. The
-// plan Retime path (shared structure block, rebuilt timings/keys) gets the
-// same treatment.
+// Differential test of the simulator engine against the Algorithm-1 oracle:
+// the compiled-plan event engine (Simulator::Run, or an explicit SimPlan)
+// must reproduce the literal frontier scan (tests/reference_scan.h)
+// *exactly* — same makespan, same per-task start/end, same per-lane
+// accounting — on every model in the zoo under every what-if
+// transformation, on P3's priority-scheduled parameter-server graphs, on
+// replicated multi-worker cluster graphs, and on seeded random DAGs, under
+// both SchedulePolicy values. The plan Retime path (shared structure block,
+// rebuilt timings/keys) and sharded dispatch get the same treatment.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -18,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/core/event_engine.h"
 #include "src/core/graph_builder.h"
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
@@ -26,6 +25,7 @@
 #include "src/core/transform.h"
 #include "src/runtime/ground_truth.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
@@ -37,8 +37,6 @@ void ExpectSameResult(const SimResult& reference, const SimResult& event) {
   EXPECT_EQ(reference.lane_threads, event.lane_threads);
   EXPECT_EQ(reference.lane_busy, event.lane_busy);
   EXPECT_EQ(reference.lane_end, event.lane_end);
-  EXPECT_EQ(reference.thread_busy(), event.thread_busy());
-  EXPECT_EQ(reference.thread_end(), event.thread_end());
   EXPECT_EQ(reference.dispatched, event.dispatched);
 }
 
@@ -105,8 +103,7 @@ TEST_P(EngineEquivalence, EventEngineReproducesReference) {
   DependencyGraph graph = BuildDependencyGraph(trace);
   what_if.apply(&graph, model_graph, trace);
 
-  const Simulator simulator;  // EarliestStart: comparator-based
-  ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+  ExpectSameResult(ReferenceScan(graph), Simulator().Run(graph));
 }
 
 std::string CaseName(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
@@ -135,8 +132,8 @@ TEST(EngineEquivalencePriority, P3ParameterServerGraphs) {
     PsWhatIf options;
     WhatIfP3(&graph, BuildModel(model), options);
 
-    const Simulator priority(std::make_shared<PriorityCommScheduler>());
-    ExpectSameResult(priority.RunReference(graph), priority.Run(graph));
+    const SchedulePolicy priority = SchedulePolicy::kPriorityComm;
+    ExpectSameResult(ReferenceScan(graph, priority), Simulator(priority).Run(graph));
   }
 }
 
@@ -149,8 +146,8 @@ TEST(EngineEquivalencePriority, DistributedGraphs) {
     opts.cluster.gpus_per_machine = 2;
     WhatIfDistributed(&graph, trace.gradients(), opts);
 
-    const Simulator priority(std::make_shared<PriorityCommScheduler>());
-    ExpectSameResult(priority.RunReference(graph), priority.Run(graph));
+    const SchedulePolicy priority = SchedulePolicy::kPriorityComm;
+    ExpectSameResult(ReferenceScan(graph, priority), Simulator(priority).Run(graph));
   }
 }
 
@@ -200,14 +197,13 @@ class RandomGraphEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomGraphEquivalence, EarliestStart) {
   const DependencyGraph g = RandomGraph(GetParam(), /*with_priorities=*/false);
-  const Simulator simulator;
-  ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
+  ExpectSameResult(ReferenceScan(g), Simulator().Run(g));
 }
 
 TEST_P(RandomGraphEquivalence, PriorityComm) {
   const DependencyGraph g = RandomGraph(GetParam() + 1000, /*with_priorities=*/true);
-  const Simulator simulator(std::make_shared<PriorityCommScheduler>());
-  ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
+  const SchedulePolicy priority = SchedulePolicy::kPriorityComm;
+  ExpectSameResult(ReferenceScan(g, priority), Simulator(priority).Run(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphEquivalence, ::testing::Range(1, 13));
@@ -216,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphEquivalence, ::testing::Range(1, 13))
 //
 // Every generated pipeline graph (stages x micro-batches x schedule kind)
 // must dispatch identically on the compiled-plan event engine and the
-// reference Algorithm-1 scan: the lane count scales with stages and the
+// Algorithm-1 oracle: the lane count scales with stages and the
 // schedule is pinned by lane order, which makes these the widest-frontier
 // graphs a what-if produces from a single profile.
 class PipelineDifferential
@@ -237,8 +233,7 @@ TEST_P(PipelineDifferential, EventEngineReproducesReference) {
   options.schedule = kind;
   WhatIfPipeline(&graph, model, options);
 
-  const Simulator simulator;
-  ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+  ExpectSameResult(ReferenceScan(graph), Simulator().Run(graph));
 }
 
 std::string PipelineCaseName(const ::testing::TestParamInfo<std::tuple<int, int, int>>& info) {
@@ -264,8 +259,7 @@ TEST(PipelineDifferentialModels, GnmtPipelines) {
       options.num_microbatches = 4;
       options.schedule = kind;
       WhatIfPipeline(&graph, model, options);
-      const Simulator simulator;
-      ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+      ExpectSameResult(ReferenceScan(graph), Simulator().Run(graph));
     }
   }
 }
@@ -285,7 +279,7 @@ TEST(PipelineDifferentialRetime, RandomRetimesMatchReference) {
         round % 2 == 0 ? PipelineScheduleKind::kGPipe : PipelineScheduleKind::k1F1B;
     WhatIfPipeline(&graph, model, options);
 
-    const SimPlan donor = SimPlan::Compile(graph, EarliestStartScheduler());
+    const SimPlan donor = SimPlan::Compile(graph);
     DependencyGraph scaled = graph.Clone();
     for (TaskId id : scaled.AliveTasks()) {
       Task& t = scaled.task(id);
@@ -295,8 +289,8 @@ TEST(PipelineDifferentialRetime, RandomRetimesMatchReference) {
       }
     }
     ASSERT_TRUE(donor.CompatibleWith(scaled));
-    const SimPlan retimed = SimPlan::Retime(donor, scaled, EarliestStartScheduler());
-    ExpectSameResult(Simulator().RunReference(scaled), retimed.Run());
+    const SimPlan retimed = SimPlan::Retime(donor, scaled);
+    ExpectSameResult(ReferenceScan(scaled), retimed.Run());
   }
 }
 
@@ -314,13 +308,12 @@ TEST(SimPlanDifferential, ClusterGraphsMatchReferenceUnderBothSchedulers) {
   WhatIfDistributed(&worker, trace.gradients(), opts);
   const DependencyGraph cluster = ReplicateWorkers(worker, 4);
 
-  for (const auto& scheduler : {std::shared_ptr<Scheduler>(new EarliestStartScheduler()),
-                                std::shared_ptr<Scheduler>(new PriorityCommScheduler())}) {
-    const Simulator simulator(scheduler);
-    const SimPlan plan = simulator.Compile(cluster);
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kEarliestStart, SchedulePolicy::kPriorityComm}) {
+    const SimPlan plan = Simulator(policy).Compile(cluster);
     EXPECT_EQ(plan.num_tasks(), cluster.num_alive());
     EXPECT_EQ(plan.num_lanes(), cluster.num_lanes());
-    ExpectSameResult(simulator.RunReference(cluster), plan.Run());
+    ExpectSameResult(ReferenceScan(cluster, policy), plan.Run());
   }
 }
 
@@ -342,12 +335,11 @@ TEST(SimPlanDifferential, RetimeMatchesFreshCompileAndReference) {
   ASSERT_EQ(transformed.structure_stamp(), daydream.graph().structure_stamp());
   ASSERT_TRUE(daydream.baseline_plan().CompatibleWith(transformed));
 
-  for (const auto& scheduler : {std::shared_ptr<Scheduler>(new EarliestStartScheduler()),
-                                std::shared_ptr<Scheduler>(new PriorityCommScheduler())}) {
-    const Simulator simulator(scheduler);
-    const SimPlan retimed = simulator.Compile(transformed, &daydream.baseline_plan());
-    const SimPlan fresh = SimPlan::Compile(transformed, *scheduler);
-    const SimResult reference = simulator.RunReference(transformed);
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kEarliestStart, SchedulePolicy::kPriorityComm}) {
+    const SimPlan retimed = Simulator(policy).Compile(transformed, &daydream.baseline_plan());
+    const SimPlan fresh = SimPlan::Compile(transformed, policy);
+    const SimResult reference = ReferenceScan(transformed, policy);
     ExpectSameResult(reference, retimed.Run());
     ExpectSameResult(reference, fresh.Run());
   }
@@ -366,72 +358,16 @@ TEST(SimPlanDifferential, StructuralMutationInvalidatesCompatibility) {
   EXPECT_FALSE(daydream.baseline_plan().CompatibleWith(structural));
 
   // Simulator::Compile silently falls back to a full compile — and the full
-  // compile still matches the reference engine on the mutated graph.
-  const Simulator simulator;
-  const SimPlan plan = simulator.Compile(structural, &daydream.baseline_plan());
-  ExpectSameResult(simulator.RunReference(structural), plan.Run());
-}
-
-// A comparator-based scheduler without a StaticPlanKey: longest duration
-// first, ties by id. Exercises the compile-time rank-by-sort fallback.
-class LongestFirstScheduler : public Scheduler {
- public:
-  size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override {
-    // The reference engine's scan over this scheduler's own tie-break order
-    // (earliest feasible first, then TieBreakLess, then id).
-    size_t best = 0;
-    for (size_t i = 1; i < frontier.size(); ++i) {
-      const TimeNs t = context.FeasibleTime(frontier[i]);
-      const TimeNs best_time = context.FeasibleTime(frontier[best]);
-      const Task& candidate = context.graph->task(frontier[i]);
-      const Task& current = context.graph->task(frontier[best]);
-      if (t < best_time ||
-          (t == best_time && (TieBreakLess(candidate, current) ||
-                              (!TieBreakLess(current, candidate) &&
-                               frontier[i] < frontier[best])))) {
-        best = i;
-      }
-    }
-    return best;
-  }
-  bool comparator_based() const override { return true; }
-  bool TieBreakLess(const Task& a, const Task& b) const override {
-    if (a.duration != b.duration) {
-      return a.duration > b.duration;
-    }
-    return a.id < b.id;
-  }
-};
-
-TEST(SimPlanDifferential, RankFallbackSchedulerMatchesStaticKeyOrder) {
-  // Oracle: a PriorityComm clone that withholds its static key must produce
-  // the identical plan order via the rank fallback.
-  class RankedPriorityComm : public PriorityCommScheduler {
-   public:
-    bool StaticPlanKey(const Task&, uint32_t*) const override { return false; }
-  };
-  for (int seed = 1; seed <= 6; ++seed) {
-    const DependencyGraph g = RandomGraph(seed + 500, /*with_priorities=*/true);
-    const SimResult via_static =
-        SimPlan::Compile(g, PriorityCommScheduler()).Run();
-    const SimResult via_rank = SimPlan::Compile(g, RankedPriorityComm()).Run();
-    ExpectSameResult(via_static, via_rank);
-  }
-}
-
-TEST(SimPlanDifferential, RankFallbackCustomOrderOnRandomGraphs) {
-  for (int seed = 1; seed <= 6; ++seed) {
-    const DependencyGraph g = RandomGraph(seed + 700, /*with_priorities=*/false);
-    const Simulator simulator(std::make_shared<LongestFirstScheduler>());
-    ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
-  }
+  // compile still matches the oracle on the mutated graph.
+  const SimPlan plan = Simulator().Compile(structural, &daydream.baseline_plan());
+  ExpectSameResult(ReferenceScan(structural), plan.Run());
 }
 
 TEST(SimPlanDifferential, RandomGraphRetime) {
   std::mt19937 rng(4242);
   for (int seed = 1; seed <= 8; ++seed) {
     const DependencyGraph base = RandomGraph(seed + 900, /*with_priorities=*/true);
-    const SimPlan donor = SimPlan::Compile(base, EarliestStartScheduler());
+    const SimPlan donor = SimPlan::Compile(base);
     DependencyGraph scaled = base.Clone();
     for (TaskId id : scaled.AliveTasks()) {
       Task& t = scaled.task(id);
@@ -441,16 +377,15 @@ TEST(SimPlanDifferential, RandomGraphRetime) {
       }
     }
     ASSERT_TRUE(donor.CompatibleWith(scaled));
-    const EarliestStartScheduler scheduler;
-    const SimPlan retimed = SimPlan::Retime(donor, scaled, scheduler);
-    ExpectSameResult(Simulator().RunReference(scaled), retimed.Run());
+    const SimPlan retimed = SimPlan::Retime(donor, scaled);
+    ExpectSameResult(ReferenceScan(scaled), retimed.Run());
   }
 }
 
 // ---- Deterministic tie-break regression ----
 //
 // Equal feasible times on one lane must dispatch in ascending task id (the
-// documented determinism contract), identically across engines and runs.
+// documented determinism contract), identically across runs and the oracle.
 TEST(TieBreakRegression, SameLaneTiesDispatchInIdOrder) {
   DependencyGraph g;
   std::vector<TaskId> ids;
@@ -461,14 +396,13 @@ TEST(TieBreakRegression, SameLaneTiesDispatchInIdOrder) {
     t.duration = Us(10);
     ids.push_back(g.AddTask(std::move(t)));
   }
-  const Simulator simulator;
-  const SimResult a = simulator.Run(g);
-  const SimResult b = simulator.Run(g);
+  const SimResult a = Simulator().Run(g);
+  const SimResult b = Simulator().Run(g);
   EXPECT_EQ(a.start, b.start);
   for (size_t i = 1; i < ids.size(); ++i) {
     EXPECT_LT(a.start[static_cast<size_t>(ids[i - 1])], a.start[static_cast<size_t>(ids[i])]);
   }
-  ExpectSameResult(simulator.RunReference(g), a);
+  ExpectSameResult(ReferenceScan(g), a);
 }
 
 TEST(TieBreakRegression, PriorityBeatsIdOnCommChannel) {
@@ -486,10 +420,9 @@ TEST(TieBreakRegression, PriorityBeatsIdOnCommChannel) {
   high.priority = 7;
   const TaskId high_id = g.AddTask(std::move(high));
 
-  const Simulator priority(std::make_shared<PriorityCommScheduler>());
-  const SimResult r = priority.Run(g);
+  const SimResult r = Simulator(SchedulePolicy::kPriorityComm).Run(g);
   EXPECT_LT(r.start[static_cast<size_t>(high_id)], r.start[static_cast<size_t>(low_id)]);
-  ExpectSameResult(priority.RunReference(g), r);
+  ExpectSameResult(ReferenceScan(g, SchedulePolicy::kPriorityComm), r);
 }
 
 // A task that becomes ready while its lane is still busy joins the tie-break
@@ -524,19 +457,18 @@ TEST(TieBreakRegression, LateReadyTaskJoinsTiePool) {
   const TaskId second_id = g.AddTask(std::move(second));
   g.AddEdge(gate_id, second_id);
 
-  const Simulator simulator;
-  const SimResult r = simulator.Run(g);
+  const SimResult r = Simulator().Run(g);
   EXPECT_EQ(r.start[static_cast<size_t>(busy_id)], 0);
   // Both become feasible at progress=50us; lower id dispatches first.
   EXPECT_EQ(r.start[static_cast<size_t>(first_id)], Us(50));
   EXPECT_EQ(r.start[static_cast<size_t>(second_id)], Us(60));
-  ExpectSameResult(simulator.RunReference(g), r);
+  ExpectSameResult(ReferenceScan(g), r);
 }
 
 // ---- Sharded parallel dispatch ----
 //
 // The windowed barrier engine must be *exactly* equal to both oracles — the
-// reference scan and the serial plan dispatch — at every sim_jobs level. The
+// Algorithm-1 scan and the serial plan dispatch — at every sim_jobs level. The
 // contract is byte-identical SimResults, not approximate equality, so the
 // whole zoo x what-if matrix runs through ExpectSameResult, and the random
 // DAGs (zero durations, bound ties, cross-lane webs) hammer the shard
@@ -547,12 +479,12 @@ const std::vector<int>& ShardJobLevels() {
   return *levels;
 }
 
-// Runs the full differential at every job level: parallel vs reference and
+// Runs the full differential at every job level: parallel vs the oracle and
 // parallel vs serial plan dispatch.
-void ExpectShardedMatches(const DependencyGraph& graph, std::shared_ptr<Scheduler> scheduler) {
-  const SimPlan plan = SimPlan::Compile(graph, *scheduler);
+void ExpectShardedMatches(const DependencyGraph& graph, SchedulePolicy policy) {
+  const SimPlan plan = SimPlan::Compile(graph, policy);
   const SimResult serial = plan.Run();
-  ExpectSameResult(Simulator(std::move(scheduler)).RunReference(graph), serial);
+  ExpectSameResult(ReferenceScan(graph, policy), serial);
   for (const int jobs : ShardJobLevels()) {
     const ShardPlan shards = ShardPlan::Compile(plan, jobs);
     EXPECT_LE(shards.num_shards(), std::max(1, jobs));
@@ -574,7 +506,7 @@ TEST_P(ShardDifferential, ParallelDispatchReproducesReference) {
   DependencyGraph graph = BuildDependencyGraph(trace);
   what_if.apply(&graph, model_graph, trace);
 
-  ExpectShardedMatches(graph, std::make_shared<EarliestStartScheduler>());
+  ExpectShardedMatches(graph, SchedulePolicy::kEarliestStart);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -587,12 +519,12 @@ class ShardRandomGraph : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardRandomGraph, EarliestStart) {
   ExpectShardedMatches(RandomGraph(GetParam() + 2000, /*with_priorities=*/false),
-                       std::make_shared<EarliestStartScheduler>());
+                       SchedulePolicy::kEarliestStart);
 }
 
 TEST_P(ShardRandomGraph, PriorityComm) {
   ExpectShardedMatches(RandomGraph(GetParam() + 3000, /*with_priorities=*/true),
-                       std::make_shared<PriorityCommScheduler>());
+                       SchedulePolicy::kPriorityComm);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardRandomGraph, ::testing::Range(1, 13));
@@ -608,7 +540,7 @@ TEST(ShardDifferentialCluster, ReplicatedDistributedWorkers) {
   DependencyGraph cluster = ReplicateWorkers(worker, 4);
   WhatIfDistributed(&cluster, trace.gradients(), opts);
 
-  const SimPlan plan = SimPlan::Compile(cluster, EarliestStartScheduler());
+  const SimPlan plan = SimPlan::Compile(cluster);
   const SimResult serial = plan.Run();
   for (const int jobs : ShardJobLevels()) {
     const ShardPlan shards = ShardPlan::Compile(plan, jobs);
@@ -619,25 +551,25 @@ TEST(ShardDifferentialCluster, ReplicatedDistributedWorkers) {
     ThreadPool pool(shards.num_shards() - 1);
     ExpectSameResult(serial, shards.Run(&pool));
   }
-  ExpectSameResult(Simulator().RunReference(cluster), serial);
+  ExpectSameResult(ReferenceScan(cluster), serial);
 }
 
 TEST(ShardDifferentialRetime, RetimedPlansReshardExactly) {
   // Retime invalidates a ShardPlan's window bounds (timing changed), so the
   // supported pattern is recompile-from-retimed-plan; the result must track
-  // the reference on the scaled graph at every job level.
+  // the oracle on the scaled graph at every job level.
   std::mt19937 rng(77);
   for (int seed = 1; seed <= 6; ++seed) {
     const DependencyGraph base = RandomGraph(seed + 4000, /*with_priorities=*/false);
-    const SimPlan donor = SimPlan::Compile(base, EarliestStartScheduler());
+    const SimPlan donor = SimPlan::Compile(base);
     DependencyGraph scaled = base.Clone();
     for (TaskId id : scaled.AliveTasks()) {
       Task& t = scaled.task(id);
       t.duration = t.duration / (1 + static_cast<TimeNs>(rng() % 3));
     }
     ASSERT_TRUE(donor.CompatibleWith(scaled));
-    const SimPlan retimed = SimPlan::Retime(donor, scaled, EarliestStartScheduler());
-    const SimResult oracle = Simulator().RunReference(scaled);
+    const SimPlan retimed = SimPlan::Retime(donor, scaled);
+    const SimResult oracle = ReferenceScan(scaled);
     for (const int jobs : ShardJobLevels()) {
       ExpectSameResult(oracle, RunPlanParallel(retimed, jobs));
     }
@@ -648,7 +580,7 @@ TEST(ShardDifferentialDeterminism, RepeatedRunsAreByteIdentical) {
   // Same plan, same job level, repeated runs: thread scheduling must never
   // leak into the result (the serve smoke depends on byte-identical JSON).
   const DependencyGraph g = RandomGraph(31337, /*with_priorities=*/true);
-  const SimPlan plan = SimPlan::Compile(g, PriorityCommScheduler());
+  const SimPlan plan = SimPlan::Compile(g, SchedulePolicy::kPriorityComm);
   const ShardPlan shards = ShardPlan::Compile(plan, 4);
   ThreadPool pool(3);
   const SimResult first = shards.Run(&pool);

@@ -17,6 +17,7 @@
 // self-contained, so collection is deterministic) and rewrites the expected
 // JSON from the CLI's fresh output.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -53,9 +54,15 @@ std::string ReadFileOrDie(const std::string& path) {
   return ss.str();
 }
 
+// A scratch path private to this process: ctest runs every test case as its
+// own process, concurrently.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
+
 // Runs the CLI, asserting exit code 0; returns stdout.
 std::string RunCli(const std::string& args) {
-  const std::string out_path = ::testing::TempDir() + "golden_cli_stdout.txt";
+  const std::string out_path = TempPath("golden_cli_stdout.txt");
   const std::string command =
       std::string(DAYDREAM_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(command.c_str());
@@ -116,7 +123,7 @@ TEST(GoldenFixtures, CommittedTracesLoadAndValidate) {
 TEST(GoldenFixtures, CliOutputMatchesCommittedJson) {
   MaybeRegenerate();
   for (const GoldenCase& c : Cases()) {
-    const std::string fresh_path = ::testing::TempDir() + "golden_fresh.json";
+    const std::string fresh_path = TempPath("golden_fresh.json");
     RunCli(std::string(c.command) + " --trace " + GoldenPath(c.trace) + " --json " + fresh_path +
            " " + c.args);
     const std::string fresh = ReadFileOrDie(fresh_path);
@@ -136,21 +143,21 @@ TEST(GoldenFixtures, ChromeRoundTripLeavesPredictOutputByteIdentical) {
   MaybeRegenerate();
   const std::optional<Trace> trace = ReadTraceFile(GoldenPath("tinymlp_i1.ddtrace"));
   ASSERT_TRUE(trace.has_value());
-  const std::string chrome_path = ::testing::TempDir() + "golden_roundtrip.chrome.json";
+  const std::string chrome_path = TempPath("golden_roundtrip.chrome.json");
   ASSERT_TRUE(WriteChromeTraceFile(*trace, chrome_path));
 
   const std::string expected = ReadFileOrDie(GoldenPath("tinymlp_i1_predict_amp.json"));
 
   // Route 1: explicit conversion through `daydream import`.
-  const std::string ddtrace_path = ::testing::TempDir() + "golden_roundtrip.ddtrace";
+  const std::string ddtrace_path = TempPath("golden_roundtrip.ddtrace");
   RunCli("import --in " + chrome_path + " --format chrome --out " + ddtrace_path);
-  const std::string via_import = ::testing::TempDir() + "golden_roundtrip_import.json";
+  const std::string via_import = TempPath("golden_roundtrip_import.json");
   RunCli("predict --trace " + ddtrace_path + " --json " + via_import + " --what-if amp");
   EXPECT_EQ(ReadFileOrDie(via_import), expected)
       << "chrome export -> `daydream import` -> predict drifted from the committed output";
 
   // Route 2: the analysis verb ingesting the Chrome file directly.
-  const std::string via_format = ::testing::TempDir() + "golden_roundtrip_format.json";
+  const std::string via_format = TempPath("golden_roundtrip_format.json");
   RunCli("predict --trace " + chrome_path + " --format chrome --json " + via_format +
          " --what-if amp");
   EXPECT_EQ(ReadFileOrDie(via_format), expected)

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,11 +29,15 @@ namespace {
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    trace_path_ = new std::string(::testing::TempDir() + "serve_test_tinymlp.ddtrace");
+    // Per-process name: ctest runs every test case as its own process, and
+    // concurrent suites must not rewrite a trace another one is reading.
+    trace_path_ = new std::string(::testing::TempDir() + "serve_test_tinymlp." +
+                                  std::to_string(getpid()) + ".ddtrace");
     const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
     ASSERT_TRUE(WriteTraceFile(trace, *trace_path_));
   }
   static void TearDownTestSuite() {
+    std::remove(trace_path_->c_str());
     delete trace_path_;
     trace_path_ = nullptr;
   }
@@ -231,7 +236,8 @@ TEST_F(ServeTest, P3PredictBypassesTheTransformMachinery) {
   EXPECT_NE(refused.GetString("error").find("--iterations 2"), std::string::npos);
 
   // A 2-iteration profile takes the PS path and reports its own metric.
-  const std::string p3_path = ::testing::TempDir() + "serve_test_tinymlp_2it.ddtrace";
+  const std::string p3_path =
+      ::testing::TempDir() + "serve_test_tinymlp_2it." + std::to_string(getpid()) + ".ddtrace";
   ASSERT_TRUE(WriteTraceFile(
       CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp), /*iterations=*/2), p3_path));
   const JsonObject opened =

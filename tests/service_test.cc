@@ -1,5 +1,6 @@
 // Service-layer tests: PlanCache policy (hit/miss/LRU/stamp invalidation),
-// TraceSession warm-query reuse against the Daydream oracle, and the
+// TraceSession warm-query reuse against the Daydream and Algorithm-1
+// oracles, transform-cache eviction, and the
 // SessionManager table — including the multi-client stress the TSan CI job
 // runs (many threads hammering one session's caches).
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/runtime/ground_truth.h"
 #include "src/service/plan_cache.h"
 #include "src/service/session.h"
+#include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
@@ -25,7 +27,7 @@ std::shared_ptr<const SimPlan> DummyPlan() { return std::make_shared<const SimPl
 
 TEST(PlanCache, MissThenPutThenHit) {
   PlanCache cache(4);
-  const PlanCache::Key key{1, "earliest_start", "amp"};
+  const PlanCache::Key key{1, "amp"};
   EXPECT_EQ(cache.Get(key), nullptr);
   cache.Put(key, DummyPlan(), /*retimed=*/true);
   EXPECT_NE(cache.Get(key), nullptr);
@@ -39,32 +41,31 @@ TEST(PlanCache, MissThenPutThenHit) {
 
 TEST(PlanCache, KeySeparatesStampSchedulerAndSignature) {
   PlanCache cache(8);
-  cache.Put({1, "earliest_start", "amp"}, DummyPlan(), false);
-  // Timing variants over one shared structure: same stamp, same scheduler,
-  // different signature — must not alias.
-  EXPECT_EQ(cache.Get({1, "earliest_start", "other"}), nullptr);
-  EXPECT_EQ(cache.Get({2, "earliest_start", "amp"}), nullptr);
-  EXPECT_EQ(cache.Get({1, "critical_path", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "earliest_start", "amp"}), nullptr);
+  cache.Put({1, "amp"}, DummyPlan(), false);
+  // Timing variants over one shared structure: same stamp, different
+  // signature — must not alias.
+  EXPECT_EQ(cache.Get({1, "other"}), nullptr);
+  EXPECT_EQ(cache.Get({2, "amp"}), nullptr);
+  EXPECT_NE(cache.Get({1, "amp"}), nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedPastCapacity) {
   PlanCache cache(2);
-  cache.Put({1, "s", "a"}, DummyPlan(), false);
-  cache.Put({2, "s", "b"}, DummyPlan(), false);
-  EXPECT_NE(cache.Get({1, "s", "a"}), nullptr);  // promote key 1
-  cache.Put({3, "s", "c"}, DummyPlan(), false);  // evicts key 2, the LRU
+  cache.Put({1, "a"}, DummyPlan(), false);
+  cache.Put({2, "b"}, DummyPlan(), false);
+  EXPECT_NE(cache.Get({1, "a"}), nullptr);  // promote key 1
+  cache.Put({3, "c"}, DummyPlan(), false);  // evicts key 2, the LRU
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get({2, "s", "b"}), nullptr);
-  EXPECT_NE(cache.Get({1, "s", "a"}), nullptr);
-  EXPECT_NE(cache.Get({3, "s", "c"}), nullptr);
+  EXPECT_EQ(cache.Get({2, "b"}), nullptr);
+  EXPECT_NE(cache.Get({1, "a"}), nullptr);
+  EXPECT_NE(cache.Get({3, "c"}), nullptr);
 }
 
 TEST(PlanCache, PutOnExistingKeyRefreshesInPlace) {
   PlanCache cache(2);
-  const PlanCache::Key key{1, "s", "a"};
+  const PlanCache::Key key{1, "a"};
   cache.Put(key, DummyPlan(), false);
   cache.Put(key, DummyPlan(), true);  // a concurrent builder raced us
   EXPECT_EQ(cache.size(), 1u);
@@ -73,32 +74,22 @@ TEST(PlanCache, PutOnExistingKeyRefreshesInPlace) {
   EXPECT_EQ(cache.stats().retimes, 1u);
 }
 
-TEST(PlanCache, EraseStampDropsEveryPlanForThatStructure) {
-  PlanCache cache(8);
-  cache.Put({1, "s", "amp"}, DummyPlan(), false);
-  cache.Put({1, "s", "other"}, DummyPlan(), false);
-  cache.Put({2, "s", "dist"}, DummyPlan(), false);
-  cache.EraseStamp(1);  // the after-structural-mutation hook
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get({1, "s", "amp"}), nullptr);
-  EXPECT_EQ(cache.Get({1, "s", "other"}), nullptr);
-  EXPECT_NE(cache.Get({2, "s", "dist"}), nullptr);
-}
-
 TEST(PlanCache, EraseSignatureIsScopedToOneSignature) {
   PlanCache cache(8);
-  cache.Put({1, "s", "amp"}, DummyPlan(), false);
-  cache.Put({1, "s", "other"}, DummyPlan(), false);
-  cache.Erase(1, "amp");
-  EXPECT_EQ(cache.Get({1, "s", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "s", "other"}), nullptr);
+  cache.Put({1, "amp"}, DummyPlan(), false);
+  cache.Put({1, "other"}, DummyPlan(), false);
+  cache.Erase({1, "amp"});
+  EXPECT_EQ(cache.Get({1, "amp"}), nullptr);
+  EXPECT_NE(cache.Get({1, "other"}), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  cache.Erase({1, "amp"});  // already gone: not another eviction
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(PlanCache, StampInvalidationAfterStructuralMutation) {
   // The end-to-end contract: timing-only edits preserve the structure stamp
   // (their plans stay reachable), structural mutation bumps it (every plan
-  // compiled from the old structure becomes unreachable under the new stamp,
-  // and EraseStamp reclaims the stale ones eagerly).
+  // compiled from the old structure becomes unreachable under the new stamp).
   const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
   const Daydream daydream(trace);
   PlanCache cache(4);
@@ -112,18 +103,17 @@ TEST(PlanCache, StampInvalidationAfterStructuralMutation) {
   EXPECT_NE(fused.structure_stamp(), daydream.graph().structure_stamp());
 
   const Simulator simulator;
-  cache.Put({amp.structure_stamp(), "s", "amp"},
+  cache.Put({amp.structure_stamp(), "amp"},
             std::make_shared<const SimPlan>(
                 simulator.Compile(amp, &daydream.baseline_plan())),
             /*retimed=*/true);
-  cache.Put({fused.structure_stamp(), "s", "fused_adam"},
+  cache.Put({fused.structure_stamp(), "fused_adam"},
             std::make_shared<const SimPlan>(simulator.Compile(fused)),
             /*retimed=*/false);
 
-  EXPECT_EQ(cache.Get({fused.structure_stamp(), "s", "amp"}), nullptr);
-  cache.EraseStamp(amp.structure_stamp());
-  EXPECT_EQ(cache.Get({amp.structure_stamp(), "s", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({fused.structure_stamp(), "s", "fused_adam"}), nullptr);
+  EXPECT_EQ(cache.Get({fused.structure_stamp(), "amp"}), nullptr);
+  EXPECT_NE(cache.Get({amp.structure_stamp(), "amp"}), nullptr);
+  EXPECT_NE(cache.Get({fused.structure_stamp(), "fused_adam"}), nullptr);
 }
 
 // ---- WhatIfRequest signatures ----
@@ -141,12 +131,12 @@ TEST(WhatIfRequestSignature, DistinguishesEveryTransformParameter) {
   dist_fast.cluster.network.bandwidth_gbps = 40.0;
   EXPECT_NE(dist.Signature(), dist_fast.Signature());
 
-  // Engine and validate select how the answer is consumed, not which graph
+  // validate and sim_jobs select how the answer is consumed, not which graph
   // is built — they must share one cached transform.
-  WhatIfRequest amp_reference = amp;
-  amp_reference.engine = EngineKind::kReference;
-  amp_reference.validate = true;
-  EXPECT_EQ(amp.Signature(), amp_reference.Signature());
+  WhatIfRequest amp_validated = amp;
+  amp_validated.validate = true;
+  amp_validated.sim_jobs = 4;
+  EXPECT_EQ(amp.Signature(), amp_validated.Signature());
 }
 
 // ---- TraceSession ----
@@ -270,8 +260,8 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   std::string error;
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(dist, &outcome, &error), SessionStatus::kOk) << error;
-  // dist evicted amp's transform (capacity 1), which erased amp's plan by
-  // stamp — so the repeat must rebuild instead of serving a stale hit.
+  // dist evicted amp's transform (capacity 1), which erased amp's plan — so
+  // the repeat must rebuild instead of serving a stale hit.
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
   EXPECT_FALSE(outcome.plan_cache_hit);
   const PlanCacheStats stats = session->plan_cache_stats();
@@ -279,21 +269,50 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   EXPECT_EQ(stats.misses, 3u);
 }
 
+TEST_F(TraceSessionTest, TransformEvictionKeepsOtherTimingOnlyPlans) {
+  // On ResNet-50, amp and the default 1x1 distributed are both timing-only:
+  // their transformed graphs keep the baseline's structure stamp. Evicting
+  // amp's transform must drop amp's plan alone — and count as an eviction —
+  // not every plan cached under that shared stamp.
+  SessionOptions options;
+  options.plan_cache_capacity = 2;
+  std::string error;
+  std::shared_ptr<TraceSession> session = TraceSession::Create(
+      CollectBaselineTrace(DefaultRunConfig(ModelId::kResNet50)), options, &error);
+  ASSERT_NE(session, nullptr) << error;
+  auto predict_hits = [&](const char* what_if) {
+    WhatIfRequest request;
+    request.what_if = what_if;
+    PredictOutcome outcome;
+    EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+    return outcome.plan_cache_hit;
+  };
+  EXPECT_FALSE(predict_hits("amp"));
+  EXPECT_FALSE(predict_hits("distributed"));
+  EXPECT_TRUE(predict_hits("distributed"));
+  EXPECT_FALSE(predict_hits("gist"));  // evicts amp's transform (capacity 2)
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
+  // distributed's transformed graph is still cached, and so is its plan.
+  EXPECT_TRUE(predict_hits("distributed"));
+}
+
 TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
+  // The session's answer equals the Algorithm-1 oracle run on the same
+  // transformed graph.
   std::shared_ptr<TraceSession> session = NewSession();
   WhatIfRequest request;
   request.what_if = "amp";
-  request.engine = EngineKind::kReference;
-  PredictOutcome reference, event;
+  PredictOutcome outcome;
   std::string error;
-  ASSERT_EQ(session->Predict(request, &reference, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(reference.plan_cache_hit);
-  EXPECT_EQ(session->plan_cache_size(), 0u);
+  ASSERT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
 
-  request.engine = EngineKind::kEvent;
-  ASSERT_EQ(session->Predict(request, &event, &error), SessionStatus::kOk) << error;
-  // Differential check: both engines agree on the same transformed graph.
-  EXPECT_EQ(reference.prediction.predicted, event.prediction.predicted);
+  std::function<void(DependencyGraph*)> transform;
+  ASSERT_EQ(session->ResolveTransform(request, &transform, &error), SessionStatus::kOk) << error;
+  DependencyGraph transformed = session->daydream().CloneGraph();
+  transform(&transformed);
+  EXPECT_EQ(outcome.prediction.predicted, ReferenceScan(transformed).makespan);
+  EXPECT_EQ(outcome.tasks, transformed.num_alive());
 }
 
 TEST_F(TraceSessionTest, UnknownWhatIfIsReportedNotFatal) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/simulator.h"
+#include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
@@ -99,13 +100,11 @@ TEST(Simulator, ThreadBusyAccounting) {
   g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(10)));
   g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(15)));
   const SimResult r = Simulator().Run(g);
-  // Flat lane-indexed accounting plus the map-shaped compatibility view.
+  // Flat lane-indexed accounting.
   ASSERT_EQ(r.lane_busy.size(), 1u);
   EXPECT_EQ(r.lane_threads[0], ExecThread::Cpu(0));
   EXPECT_EQ(r.lane_busy[0], Us(25));
   EXPECT_EQ(r.lane_end[0], Us(25));
-  EXPECT_EQ(r.thread_busy().at(ExecThread::Cpu(0)), Us(25));
-  EXPECT_EQ(r.thread_end().at(ExecThread::Cpu(0)), Us(25));
 }
 
 TEST(Simulator, LanesThatNeverDispatchStayOutOfTheMapViews) {
@@ -115,11 +114,11 @@ TEST(Simulator, LanesThatNeverDispatchStayOutOfTheMapViews) {
   g.Remove(a);  // lane 0 stays interned but has no alive tasks
   const SimResult r = Simulator().Run(g);
   ASSERT_EQ(r.lane_end.size(), 2u);
+  EXPECT_EQ(r.lane_threads[0], ExecThread::Cpu(0));
   EXPECT_EQ(r.lane_end[0], -1);
   EXPECT_EQ(r.lane_busy[0], 0);
-  EXPECT_EQ(r.thread_busy().count(ExecThread::Cpu(0)), 0u);
-  EXPECT_EQ(r.thread_end().count(ExecThread::Cpu(0)), 0u);
-  EXPECT_EQ(r.thread_end().at(ExecThread::Gpu(0)), Us(10));
+  EXPECT_EQ(r.lane_threads[1], ExecThread::Gpu(0));
+  EXPECT_EQ(r.lane_end[1], Us(10));
 }
 
 TEST(Simulator, DispatchCountsAliveOnly) {
@@ -150,8 +149,7 @@ TEST(Simulator, PrioritySchedulerPrefersHighPriorityComm) {
   const SimResult fifo = Simulator().Run(g);
   EXPECT_LT(fifo.start[static_cast<size_t>(low)], fifo.start[static_cast<size_t>(high)]);
 
-  const SimResult prio =
-      Simulator(std::make_shared<PriorityCommScheduler>()).Run(g);
+  const SimResult prio = Simulator(SchedulePolicy::kPriorityComm).Run(g);
   EXPECT_LT(prio.start[static_cast<size_t>(high)], prio.start[static_cast<size_t>(low)]);
 }
 
@@ -163,38 +161,9 @@ TEST(Simulator, PrioritySchedulerStillHonorsReadiness) {
   const TaskId low = g.AddTask(Make(TaskType::kComm, ExecThread::Comm(0), Us(100), 0, 1));
   const TaskId high = g.AddTask(Make(TaskType::kComm, ExecThread::Comm(0), Us(100), 0, 9));
   g.AddEdge(gate, high);  // high priority ready only at t=50
-  const SimResult r = Simulator(std::make_shared<PriorityCommScheduler>()).Run(g);
+  const SimResult r = Simulator(SchedulePolicy::kPriorityComm).Run(g);
   EXPECT_EQ(r.start[static_cast<size_t>(low)], 0);
   EXPECT_EQ(r.start[static_cast<size_t>(high)], Us(100));
-}
-
-TEST(Simulator, CustomSchedulerInvoked) {
-  class CountingScheduler : public Scheduler {
-   public:
-    size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override {
-      ++picks;
-      return EarliestStartScheduler().Pick(frontier, context);
-    }
-    int picks = 0;
-  };
-  auto scheduler = std::make_shared<CountingScheduler>();
-  DependencyGraph g;
-  g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(1)));
-  g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(1)));
-  Simulator(scheduler).Run(g);
-  EXPECT_EQ(scheduler->picks, 2);
-}
-
-TEST(Simulator, BuiltInSchedulersAreComparatorBased) {
-  // Both built-ins run on the event-driven engine; a custom Pick-only policy
-  // (like CountingScheduler above) keeps the reference path.
-  EXPECT_TRUE(EarliestStartScheduler().comparator_based());
-  EXPECT_TRUE(PriorityCommScheduler().comparator_based());
-  class PickOnly : public EarliestStartScheduler {
-   public:
-    bool comparator_based() const override { return false; }
-  };
-  EXPECT_FALSE(PickOnly().comparator_based());
 }
 
 TEST(Simulator, ReferenceEngineAgreesOnDiamond) {
@@ -207,9 +176,8 @@ TEST(Simulator, ReferenceEngineAgreesOnDiamond) {
   g.AddEdge(a, c);
   g.AddEdge(b, d);
   g.AddEdge(c, d);
-  const Simulator simulator;
-  const SimResult run = simulator.Run(g);
-  const SimResult reference = simulator.RunReference(g);
+  const SimResult run = Simulator().Run(g);
+  const SimResult reference = ReferenceScan(g);
   EXPECT_EQ(run.start, reference.start);
   EXPECT_EQ(run.end, reference.end);
   EXPECT_EQ(run.makespan, reference.makespan);

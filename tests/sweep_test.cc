@@ -6,6 +6,7 @@
 #include "src/core/optimizations/optimizations.h"
 #include "src/runtime/ground_truth.h"
 #include "src/runtime/sweep.h"
+#include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
@@ -55,7 +56,7 @@ TEST(SweepRunner, ParallelOutcomesMatchSerialPredictions) {
   ASSERT_EQ(parallel.size(), cases.size());
 
   for (size_t i = 0; i < cases.size(); ++i) {
-    const PredictionResult serial = daydream.Predict(cases[i].transform, cases[i].scheduler);
+    const PredictionResult serial = daydream.Predict(cases[i].transform);
     EXPECT_EQ(parallel[i].name, cases[i].name);
     EXPECT_EQ(parallel[i].prediction.baseline, serial.baseline);
     EXPECT_EQ(parallel[i].prediction.predicted, serial.predicted) << cases[i].name;
@@ -89,24 +90,21 @@ TEST(SweepRunner, ShardedDispatchMatchesSerialOutcomes) {
 }
 
 TEST(SweepRunner, ReferenceEngineMatchesCompiledPlans) {
-  // --engine=reference differential: the pipelined plan path and the
-  // Algorithm-1 scan must agree on every standard case.
+  // Differential: the pipelined plan path must agree with the Algorithm-1
+  // oracle run on each case's transformed graph.
   const Daydream daydream(ResNetTrace());
   const std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), Clusters());
 
-  SweepOptions event_options;
-  event_options.num_threads = 4;
-  SweepOptions reference_options;
-  reference_options.num_threads = 4;
-  reference_options.engine = EngineKind::kReference;
-  const std::vector<SweepOutcome> via_plan = SweepRunner(daydream, event_options).Run(cases);
-  const std::vector<SweepOutcome> via_reference =
-      SweepRunner(daydream, reference_options).Run(cases);
-  ASSERT_EQ(via_plan.size(), via_reference.size());
-  for (size_t i = 0; i < via_plan.size(); ++i) {
-    EXPECT_EQ(via_plan[i].prediction.predicted, via_reference[i].prediction.predicted)
+  SweepOptions options;
+  options.num_threads = 4;
+  const std::vector<SweepOutcome> via_plan = SweepRunner(daydream, options).Run(cases);
+  ASSERT_EQ(via_plan.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    DependencyGraph transformed = daydream.CloneGraph();
+    cases[i].transform(&transformed);
+    EXPECT_EQ(via_plan[i].prediction.predicted, ReferenceScan(transformed).makespan)
         << cases[i].name;
-    EXPECT_EQ(via_plan[i].tasks, via_reference[i].tasks) << cases[i].name;
+    EXPECT_EQ(via_plan[i].tasks, transformed.num_alive()) << cases[i].name;
   }
 }
 
@@ -116,8 +114,7 @@ TEST(SweepRunner, GraphBaselineConstructorSweepsWithoutATrace) {
   const TimeNs baseline = daydream.BaselineSimTime();
   const SweepRunner runner(daydream.graph(), baseline);
   const std::vector<SweepOutcome> outcomes =
-      runner.Run({{"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr},
-                  {"noop", nullptr, nullptr}});
+      runner.Run({{"amp", [](DependencyGraph* g) { WhatIfAmp(g); }}, {"noop", nullptr}});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].prediction.baseline, baseline);
   EXPECT_EQ(outcomes[0].prediction.predicted,

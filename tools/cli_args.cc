@@ -129,18 +129,6 @@ std::optional<double> ParseBandwidth(const std::string& gbps, std::string* error
 
 }  // namespace
 
-std::optional<EngineKind> ParseEngineKind(const Args& args, std::string* error) {
-  const std::string engine = args.Get("engine", "event");
-  if (engine == "event") {
-    return EngineKind::kEvent;
-  }
-  if (engine == "reference") {
-    return EngineKind::kReference;
-  }
-  *error = "bad --engine '" + engine + "' (expected event or reference)";
-  return std::nullopt;
-}
-
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error) {
   const std::optional<std::pair<int, int>> shape = ParseShape(args.Get("cluster", "4x1"), error);
   if (!shape.has_value()) {
@@ -243,10 +231,6 @@ auto PrintOnError(Fn&& fn) -> decltype(fn(std::declval<std::string*>())) {
 
 }  // namespace
 
-std::optional<EngineKind> ParseEngineKind(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseEngineKind(args, error); });
-}
-
 std::optional<ClusterConfig> ParseCluster(const Args& args) {
   return PrintOnError([&args](std::string* error) { return ParseCluster(args, error); });
 }
@@ -261,11 +245,6 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args) {
 
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error) {
   request->what_if = args.Get("what-if");
-  const std::optional<EngineKind> engine = ParseEngineKind(args, error);
-  if (!engine.has_value()) {
-    return false;
-  }
-  request->engine = *engine;
   request->validate = args.Has("validate");
   const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
   if (!sim_jobs.has_value() || *sim_jobs < 1) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/comm/network_spec.h"
-#include "src/core/simulator.h"
 #include "src/parallel/pipeline.h"
 #include "src/service/session.h"
 
@@ -62,12 +61,6 @@ std::optional<double> ParseDouble(const std::string& text);
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error);
 std::optional<ClusterConfig> ParseCluster(const Args& args);
 
-// Parses --engine {event,reference} for `daydream predict`/`sweep` (default
-// "event", the compiled-plan engine; "reference" forces the Algorithm-1 scan
-// for differential debugging without a rebuild).
-std::optional<EngineKind> ParseEngineKind(const Args& args, std::string* error);
-std::optional<EngineKind> ParseEngineKind(const Args& args);
-
 // Builds the cluster matrix for `daydream sweep`: the cross product of
 // --cluster (comma-separated MxG shapes, default "2x1,2x2,4x1,4x2") and
 // --gbps (comma-separated bandwidths, default "10").
@@ -94,7 +87,7 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
 std::optional<PipelineFlags> ParsePipelineFlags(const Args& args);
 
 // Builds the session-layer WhatIfRequest from predict-style flags: --what-if
-// plus --engine/--validate/--sim-jobs always, --cluster/--gbps for
+// plus --validate/--sim-jobs always, --cluster/--gbps for
 // distributed and p3, and the pipeline flags (with predict's
 // single-stage/single-schedule constraints) for pipeline. Unknown what-if
 // names parse fine — resolution is the session's job

@@ -56,8 +56,6 @@ commands:
            [--cluster MxG] [--gbps BW]  (distributed/p3 options)
            [--pipeline-stages N] [--microbatches M] [--schedule gpipe|1f1b]
                                         (pipeline options)
-           [--engine event|reference]   (reference = Algorithm-1 scan, for
-                                         differential debugging)
            [--sim-jobs N]               (shards for parallel plan dispatch;
                                          same result, more cores)
            [--json FILE]                (machine-readable result)
@@ -73,7 +71,7 @@ commands:
                                          thread budget is shared with --jobs)
            [--pipeline-stages N1,N2,...] [--microbatches M]
            [--schedule gpipe|1f1b|both]
-           [--engine event|reference] [--csv FILE] [--json FILE] [--validate]
+           [--csv FILE] [--json FILE] [--validate]
   serve    [--port N] [--jobs N]        line-delimited-JSON prediction daemon
            [--sim-jobs N]               (stdin/stdout without --port; see
                                          docs/serve.md; --sim-jobs sets the
@@ -86,15 +84,6 @@ commands:
   version  [--json]                     build + protocol version
 )";
   return 2;
-}
-
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
-  }
-  return std::nullopt;
 }
 
 int CmdModels() {
@@ -403,11 +392,6 @@ int CmdSweep(const Args& args) {
     std::cerr << "bad --jobs '" << args.Get("jobs") << "' (expected a non-negative integer)\n";
     return 2;
   }
-  const std::optional<EngineKind> engine = ParseEngineKind(args);
-  if (!engine.has_value()) {
-    return 2;
-  }
-
   const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args);
   if (!pipeline.has_value()) {
     return 2;
@@ -433,7 +417,6 @@ int CmdSweep(const Args& args) {
   }
   SweepOptions options;
   options.num_threads = *jobs;
-  options.engine = *engine;
   options.validate = args.Has("validate");
   options.sim_jobs = *sim_jobs;
   std::vector<SweepOutcome> outcomes = session->Sweep(cases, options);
