@@ -23,7 +23,8 @@
 // Plus an end-to-end `sweep_cluster` cases/sec row demonstrating the
 // amortized setup (shared baseline plan, pipelined clone+transform), and a
 // `dispatch_plan_cluster_parallel` row — sharded dispatch vs the serial plan
-// engine (>= 3x, enforced only on hosts with >= 8 hardware threads).
+// engine (>= 3x, enforced only on hosts with >= 8 hardware threads), and a
+// `transform_fused_adam` row for batch task removal.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -42,6 +43,7 @@
 #include "src/core/layer_map.h"
 #include "src/core/optimizations/amp.h"
 #include "src/core/optimizations/distributed.h"
+#include "src/core/optimizations/fused_adam.h"
 #include "src/core/optimizations/pipeline_transform.h"
 #include "src/core/predictor.h"
 #include "src/core/sim_plan.h"
@@ -494,6 +496,15 @@ int Main(int argc, char** argv) {
   Daydream daydream(trace);
   rows.push_back({"what_if_amp_round_trip",
                   MeasureMs([&] { daydream.Predict([](DependencyGraph* g) { WhatIfAmp(g); }); })});
+  // Fused Adam removes every weight-update kernel and launch but one in one
+  // batch; the row catches removal turning quadratic in the chain length.
+  // Six profiled iterations, as in the end-to-end sweep benchmark, keep the
+  // row above bench_compare.py's 5 ms gating floor.
+  const Daydream six_iterations(CollectBaselineTrace(config, /*iterations=*/6));
+  rows.push_back({"transform_fused_adam", MeasureMs([&] {
+                    DependencyGraph g = six_iterations.CloneGraph();
+                    WhatIfFusedAdam(&g);
+                  })});
 
   // The cluster-scale graph: 64 replicated workers (shared helper in
   // ground_truth so tests exercise the same construction), still

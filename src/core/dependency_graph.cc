@@ -236,49 +236,108 @@ TaskId DependencyGraph::InsertBefore(TaskId anchor, Task task) {
   return id;
 }
 
-void DependencyGraph::Remove(TaskId id) {
-  DD_CHECK(alive(id));
-  Unlink(id);
-  Node& n = node(id);
-  const std::vector<TaskId> parents = std::move(n.parents);
-  const std::vector<TaskId> children = std::move(n.children);
-  n.parents.clear();
-  n.children.clear();
-  for (TaskId p : parents) {
-    auto& pc = node(p).children;
-    pc.erase(std::find(pc.begin(), pc.end(), id));
-  }
-  for (TaskId c : children) {
-    auto& cp = node(c).parents;
-    cp.erase(std::find(cp.begin(), cp.end(), id));
-  }
-  // Figure 4 rewiring with an O(1) duplicate check: mark each parent's
-  // existing children once instead of scanning its child list per candidate
-  // (which made Remove O(parents x children x degree)).
+uint32_t DependencyGraph::NextMarkEpoch() {
   if (mark_.size() < tasks_.size()) {
     mark_.resize(tasks_.size(), 0);
   }
-  for (TaskId p : parents) {
-    ++mark_epoch_;
-    auto& pc = node(p).children;
-    for (TaskId existing : pc) {
-      mark_[static_cast<size_t>(existing)] = mark_epoch_;
+  if (++mark_epoch_ == 0) {  // wrapped: clear stamps that could alias the new epoch
+    std::fill(mark_.begin(), mark_.end(), 0);
+    mark_epoch_ = 1;
+  }
+  return mark_epoch_;
+}
+
+void DependencyGraph::Remove(TaskId id) {
+  DD_CHECK(alive(id));
+  RemoveTasks(std::span<const TaskId>(&id, 1));
+}
+
+void DependencyGraph::RemoveTasks(std::span<const TaskId> ids) {
+  // Tombstone the set first. Edges only ever join alive tasks, so from here
+  // on a dead neighbour is exactly a member of this batch.
+  std::vector<TaskId> removed;
+  removed.reserve(ids.size());
+  for (TaskId id : ids) {
+    Node& n = node(id);
+    if (n.alive) {
+      n.alive = false;
+      removed.push_back(id);
     }
-    for (TaskId c : children) {
-      if (c == p || mark_[static_cast<size_t>(c)] == mark_epoch_) {
-        continue;
+  }
+  if (removed.empty()) {
+    return;
+  }
+  const auto is_removed = [this](TaskId id) { return !tasks_[static_cast<size_t>(id)].alive; };
+
+  // The kept boundary, each task once, in first-seen order.
+  std::vector<TaskId> boundary_parents;
+  std::vector<TaskId> boundary_children;
+  uint32_t epoch = NextMarkEpoch();
+  for (TaskId r : removed) {
+    for (TaskId p : node(r).parents) {
+      if (!is_removed(p) && mark_[static_cast<size_t>(p)] != epoch) {
+        mark_[static_cast<size_t>(p)] = epoch;
+        boundary_parents.push_back(p);
       }
-      mark_[static_cast<size_t>(c)] = mark_epoch_;
-      pc.push_back(c);
-      node(c).parents.push_back(p);
     }
   }
-  n.alive = false;
-  --num_alive_;
-  structure_stamp_ = NextStructureStamp();
-  if (indexes_built_) {
-    meta_[static_cast<size_t>(id)].bits = 0;  // bucket compaction drops the entry
+  epoch = NextMarkEpoch();
+  for (TaskId r : removed) {
+    for (TaskId c : node(r).children) {
+      if (!is_removed(c) && mark_[static_cast<size_t>(c)] != epoch) {
+        mark_[static_cast<size_t>(c)] = epoch;
+        boundary_children.push_back(c);
+      }
+    }
   }
+
+  // Figure 4 over the set: each boundary parent walks breadth-first through
+  // removed tasks and gains an edge to every kept task it reaches. One epoch
+  // per parent marks both its existing children (the O(1) duplicate check)
+  // and the removed tasks this walk has visited; the two never overlap.
+  std::vector<TaskId> frontier;
+  for (TaskId p : boundary_parents) {
+    epoch = NextMarkEpoch();
+    mark_[static_cast<size_t>(p)] = epoch;
+    std::vector<TaskId>& pc = node(p).children;
+    frontier.clear();
+    for (TaskId c : pc) {
+      mark_[static_cast<size_t>(c)] = epoch;
+      if (is_removed(c)) {
+        frontier.push_back(c);
+      }
+    }
+    std::erase_if(pc, is_removed);
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      for (TaskId c : node(frontier[i]).children) {
+        if (mark_[static_cast<size_t>(c)] == epoch) {
+          continue;
+        }
+        mark_[static_cast<size_t>(c)] = epoch;
+        if (is_removed(c)) {
+          frontier.push_back(c);
+        } else {
+          pc.push_back(c);
+          node(c).parents.push_back(p);
+        }
+      }
+    }
+  }
+  for (TaskId c : boundary_children) {
+    std::erase_if(node(c).parents, is_removed);
+  }
+
+  for (TaskId r : removed) {
+    Unlink(r);
+    Node& n = node(r);
+    n.parents = {};
+    n.children = {};
+    if (indexes_built_) {
+      meta_[static_cast<size_t>(r)].bits = 0;  // bucket compaction drops the entry
+    }
+  }
+  num_alive_ -= static_cast<int>(removed.size());
+  structure_stamp_ = NextStructureStamp();
 }
 
 std::vector<TaskId> DependencyGraph::SelectByScan(const TaskQuery& query) const {

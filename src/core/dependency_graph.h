@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,8 +65,16 @@ class DependencyGraph {
   // Same, but before `anchor` (useful for inserting at a thread's head).
   TaskId InsertBefore(TaskId anchor, Task task);
 
-  // Removes a task, wiring every parent to every child (Figure 4) and
-  // splicing it out of its thread sequence.
+  // Removes a set of tasks in one pass (Figure 4 applied to the whole set):
+  // every kept task that reached a kept task through removed ones only gets
+  // a direct edge to it, and the removed tasks are spliced out of their
+  // thread sequences. The resulting edge set equals removing the ids one at a
+  // time, in any order. Ids already removed (or repeated) are skipped. Cost is
+  // O(removed tasks + touched edges), with each kept parent walking the
+  // removed tasks it reaches. See docs/graph.md for the order new edges are
+  // appended in.
+  void RemoveTasks(std::span<const TaskId> ids);
+  // The one-task case: every parent of `id` is wired to every child.
   void Remove(TaskId id);
 
   // Select: ids (ascending) of all alive tasks matching the query. Structured
@@ -220,6 +229,7 @@ class DependencyGraph {
   void LinkAfter(TaskId anchor, TaskId id);
   void LinkBefore(TaskId anchor, TaskId id);
   void Unlink(TaskId id);
+  uint32_t NextMarkEpoch();
 
   // Select-index helpers (const because indexes are lazily maintained).
   void IndexNewTask(TaskId id) const;
@@ -246,10 +256,11 @@ class DependencyGraph {
   std::vector<ThreadSeq> threads_;
   std::unordered_map<uint64_t, int32_t> thread_index_;  // ThreadKey -> lane
 
-  // Scratch for Remove's duplicate-edge check: mark_[id] == mark_epoch_ means
-  // "already a child of the current parent".
-  mutable std::vector<uint32_t> mark_;
-  mutable uint32_t mark_epoch_ = 0;
+  // Scratch for RemoveTasks' walks: mark_[id] == mark_epoch_ means "already
+  // seen in the current pass" (a boundary task collected, or a child of the
+  // current parent reached). NextMarkEpoch() opens a pass in O(1).
+  std::vector<uint32_t> mark_;
+  uint32_t mark_epoch_ = 0;
 
   // ---- Select indexes (lazily built, incrementally maintained) ----
   bool select_indexing_enabled_ = true;

@@ -47,16 +47,15 @@ void WhatIfFusedAdam(DependencyGraph* graph) {
   }
   DD_CHECK_NE(kept_launch, kInvalidTask) << "fused kernel has no launching CPU task";
 
-  for (TaskId id : wu_gpu) {
-    if (id != kept) {
-      graph->Remove(id);
-    }
-  }
+  // Every other weight-update kernel and CPU task goes in one batch removal.
+  std::vector<TaskId> doomed = wu_gpu;
+  std::erase(doomed, kept);
   for (TaskId id : graph->Select(All(IsOnCpu(), PhaseIs(Phase::kWeightUpdate)))) {
     if (id != kept_launch) {
-      graph->Remove(id);
+      doomed.push_back(id);
     }
   }
+  RemoveAll(graph, doomed);
 }
 
 }  // namespace daydream

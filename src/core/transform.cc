@@ -174,11 +174,7 @@ void SetDurations(DependencyGraph* graph, const std::vector<TaskId>& ids, TimeNs
 }
 
 void RemoveAll(DependencyGraph* graph, const std::vector<TaskId>& ids) {
-  for (TaskId id : ids) {
-    if (graph->alive(id)) {
-      graph->Remove(id);
-    }
-  }
+  graph->RemoveTasks(ids);
 }
 
 InsertedKernel InsertKernelAfter(DependencyGraph* graph, TaskId cpu_anchor, TaskId gpu_anchor,

@@ -59,6 +59,8 @@ void SetDurations(DependencyGraph* graph, const std::vector<TaskId>& ids, TimeNs
 
 // ---- Remove / insert ----
 
+// Removes every listed task in one batch (DependencyGraph::RemoveTasks);
+// already-removed or repeated ids are skipped.
 void RemoveAll(DependencyGraph* graph, const std::vector<TaskId>& ids);
 
 // Inserts a GPU task together with its launching CPU task (Figure 4b):

@@ -262,6 +262,12 @@ struct Fuzzer {
   DependencyGraph graph;
   ReferenceGraph reference;
   std::vector<TaskId> live;
+  // Batch removal mode: RemoveBatchBoth joins the op mix. A multi-task batch
+  // appends its new edges in its own order, so from the first batch on the
+  // graphs are compared by edge sets (sorted adjacency) rather than by
+  // ordered adjacency and Kahn order.
+  bool batch_removals = false;
+  bool ordered_adjacency = true;
 
   explicit Fuzzer(uint32_t seed) : rng(seed) {}
 
@@ -331,13 +337,49 @@ struct Fuzzer {
     return false;
   }
 
-  void AddBoth() {
-    Task t = RandTask();
+  TaskId AddTaskBoth(Task t) {
     const TaskId a = graph.AddTask(t);
     const TaskId b = reference.AddTask(std::move(t));
-    ASSERT_EQ(a, b);
+    EXPECT_EQ(a, b);
     live.push_back(a);
+    return a;
   }
+
+  void AddEdgeBoth(TaskId from, TaskId to) {
+    graph.AddEdge(from, to);
+    reference.AddEdge(from, to);
+  }
+
+  // One RemoveTasks call on the production graph against per-id
+  // ReferenceGraph::Remove over the same ids, in order (dead and repeated ids
+  // skipped, as RemoveTasks does).
+  void RemoveTasksBoth(const std::vector<TaskId>& ids) {
+    graph.RemoveTasks(ids);
+    for (TaskId id : ids) {
+      if (reference.alive(id)) {
+        reference.Remove(id);
+      }
+    }
+    std::erase_if(live, [&](TaskId id) { return !reference.alive(id); });
+    if (ids.size() > 1) {
+      ordered_adjacency = false;
+    }
+  }
+
+  void RemoveBatchBoth() {
+    if (live.size() <= 3) {
+      return;
+    }
+    // Drawn with replacement, so batches carry repeated ids too.
+    const int count = RandInt(1, std::min(8, static_cast<int>(live.size()) - 2));
+    std::vector<TaskId> ids;
+    for (int i = 0; i < count; ++i) {
+      ids.push_back(RandLive());
+    }
+    RemoveTasksBoth(ids);
+  }
+
+  void AddBoth() { AddTaskBoth(RandTask()); }
 
   void AddEdgeBoth() {
     if (live.size() < 2) {
@@ -450,11 +492,25 @@ struct Fuzzer {
     }
     ASSERT_EQ(chained, graph.num_alive());
 
+    const auto sorted = [](std::vector<TaskId> ids) {
+      std::sort(ids.begin(), ids.end());
+      return ids;
+    };
     for (TaskId id : live) {
-      ASSERT_EQ(graph.parents(id), reference.parents(id)) << "parents of " << id;
-      ASSERT_EQ(graph.children(id), reference.children(id)) << "children of " << id;
+      if (ordered_adjacency) {
+        ASSERT_EQ(graph.parents(id), reference.parents(id)) << "parents of " << id;
+        ASSERT_EQ(graph.children(id), reference.children(id)) << "children of " << id;
+      } else {
+        ASSERT_EQ(sorted(graph.parents(id)), sorted(reference.parents(id))) << "parents of " << id;
+        ASSERT_EQ(sorted(graph.children(id)), sorted(reference.children(id)))
+            << "children of " << id;
+      }
     }
-    ASSERT_EQ(graph.TopologicalOrder(), reference.TopologicalOrder());
+    if (ordered_adjacency) {
+      ASSERT_EQ(graph.TopologicalOrder(), reference.TopologicalOrder());
+    } else {
+      ASSERT_EQ(graph.TopologicalOrder().size(), live.size());
+    }
 
     std::string error;
     ASSERT_TRUE(graph.Validate(&error)) << error;
@@ -496,7 +552,7 @@ struct Fuzzer {
       graph.EnsureSelectIndexes();
     }
     for (int step = 0; step < steps; ++step) {
-      switch (RandInt(0, 6)) {
+      switch (RandInt(0, batch_removals ? 7 : 6)) {
         case 0:
           AddBoth();
           break;
@@ -514,6 +570,9 @@ struct Fuzzer {
           break;
         case 5:
           RemoveBoth();
+          break;
+        case 7:
+          RemoveBatchBoth();
           break;
         default:
           MutateFieldsBoth();
@@ -540,6 +599,90 @@ TEST(GraphMutationDiff, RandomizedAgainstReference) {
       return;
     }
   }
+}
+
+TEST(GraphMutationDiff, BatchRemovalMatchesPerIdRemoval) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Fuzzer fuzzer(seed);
+    fuzzer.batch_removals = true;
+    fuzzer.Run(400);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(GraphMutationDiff, SingleTaskBatchKeepsOrderedAdjacency) {
+  Fuzzer fuzzer(7);
+  fuzzer.Run(200);
+  if (testing::Test::HasFatalFailure()) {
+    return;
+  }
+  while (fuzzer.live.size() > 2) {
+    fuzzer.RemoveTasksBoth({fuzzer.RandLive()});
+    fuzzer.CheckEquivalent();
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_TRUE(fuzzer.ordered_adjacency);
+}
+
+// Fused Adam's shape (§5.1): a stream chain of kernels, each launched from its
+// own task on a CPU chain, with kept work before and after. Removing every
+// kernel and launch but the first is the batch that was quadratic per id.
+TEST(GraphMutationDiff, FusedAdamShapedChainBatchRemoval) {
+  constexpr int kKernels = 400;
+  Fuzzer fuzzer(1);
+  const auto make = [](TaskType type, ExecThread thread, const char* name) {
+    Task t;
+    t.type = type;
+    t.thread = thread;
+    t.duration = 5;
+    t.phase = Phase::kWeightUpdate;
+    t.name = name;
+    return t;
+  };
+  const TaskId cpu_head =
+      fuzzer.AddTaskBoth(make(TaskType::kCpu, ExecThread::Cpu(0), "bwd_launch"));
+  const TaskId gpu_head =
+      fuzzer.AddTaskBoth(make(TaskType::kGpu, ExecThread::Gpu(0), "bwd_kernel"));
+  std::vector<TaskId> launches;
+  std::vector<TaskId> kernels;
+  for (int i = 0; i < kKernels; ++i) {
+    launches.push_back(
+        fuzzer.AddTaskBoth(make(TaskType::kCpu, ExecThread::Cpu(0), "cudaLaunchKernel")));
+    kernels.push_back(
+        fuzzer.AddTaskBoth(make(TaskType::kGpu, ExecThread::Gpu(0), "adam_kernel")));
+  }
+  const TaskId cpu_tail = fuzzer.AddTaskBoth(make(TaskType::kCpu, ExecThread::Cpu(0), "sync"));
+  const TaskId gpu_tail = fuzzer.AddTaskBoth(make(TaskType::kGpu, ExecThread::Gpu(0), "next_fwd"));
+  fuzzer.graph.LinkSequential();
+  fuzzer.reference.LinkSequential();
+  fuzzer.AddEdgeBoth(cpu_head, gpu_head);
+  for (int i = 0; i < kKernels; ++i) {
+    fuzzer.AddEdgeBoth(launches[static_cast<size_t>(i)], kernels[static_cast<size_t>(i)]);
+  }
+  fuzzer.AddEdgeBoth(gpu_tail, cpu_tail);  // the sync waits on the stream
+  fuzzer.CheckEquivalent();
+  if (testing::Test::HasFatalFailure()) {
+    return;
+  }
+
+  std::vector<TaskId> doomed(kernels.begin() + 1, kernels.end());
+  doomed.insert(doomed.end(), launches.begin() + 1, launches.end());
+  fuzzer.RemoveTasksBoth(doomed);
+  fuzzer.CheckEquivalent();
+  if (testing::Test::HasFatalFailure()) {
+    return;
+  }
+  EXPECT_EQ(fuzzer.graph.num_alive(), 6);
+  EXPECT_TRUE(fuzzer.graph.HasEdge(kernels[0], gpu_tail));
+  EXPECT_TRUE(fuzzer.graph.HasEdge(launches[0], gpu_tail));  // through the removed launches
+  EXPECT_TRUE(fuzzer.graph.HasEdge(launches[0], cpu_tail));
+  EXPECT_EQ(fuzzer.graph.ThreadSequence(ExecThread::Gpu(0)),
+            (std::vector<TaskId>{gpu_head, kernels[0], gpu_tail}));
 }
 
 TEST(GraphMutationDiff, CloneMatchesOriginalAndStaysIndependent) {

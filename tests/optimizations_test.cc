@@ -494,5 +494,95 @@ TEST_F(OptimizationsTest, EstimateElementwiseDurationScales) {
   EXPECT_LT(small, big);
 }
 
+// ---- batch removal on real graphs ----
+
+// The per-id oracle: cut the task out, wire its parents to its children with
+// AddEdge, then remove the now-isolated task.
+void RemoveOneByOne(DependencyGraph* graph, const std::vector<TaskId>& ids) {
+  for (TaskId id : ids) {
+    if (!graph->alive(id)) {
+      continue;
+    }
+    const std::vector<TaskId> parents = graph->parents(id);
+    const std::vector<TaskId> children = graph->children(id);
+    for (TaskId p : parents) {
+      graph->RemoveEdge(p, id);
+    }
+    for (TaskId c : children) {
+      graph->RemoveEdge(id, c);
+    }
+    for (TaskId p : parents) {
+      for (TaskId c : children) {
+        graph->AddEdge(p, c);
+      }
+    }
+    graph->Remove(id);
+  }
+}
+
+void ExpectSameEdgeSets(const DependencyGraph& a, const DependencyGraph& b) {
+  ASSERT_EQ(a.num_alive(), b.num_alive());
+  const auto sorted = [](std::vector<TaskId> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  for (TaskId id : a.AliveTasks()) {
+    ASSERT_TRUE(b.alive(id)) << id;
+    ASSERT_EQ(sorted(a.parents(id)), sorted(b.parents(id))) << "parents of " << id;
+    ASSERT_EQ(sorted(a.children(id)), sorted(b.children(id))) << "children of " << id;
+  }
+  std::string error;
+  EXPECT_TRUE(a.Validate(&error)) << error;
+}
+
+class BatchRemovalZoo : public ::testing::TestWithParam<ModelId> {};
+
+// The sets fused Adam and P3 remove, taken out of each zoo model's baseline
+// graph in one RemoveAll and by the per-id oracle, give the same graph.
+TEST_P(BatchRemovalZoo, MatchesPerIdRemovalOnWeightUpdateSets) {
+  const DependencyGraph base =
+      BuildDependencyGraph(CollectBaselineTrace(DefaultRunConfig(GetParam())));
+  DependencyGraph fused = base.Clone();
+  WhatIfFusedAdam(&fused);
+  std::vector<TaskId> fused_adam_set;
+  for (TaskId id : base.AliveTasks()) {
+    if (!fused.alive(id)) {
+      fused_adam_set.push_back(id);
+    }
+  }
+  const std::vector<TaskId> p3_set = base.Select(PhaseIs(Phase::kWeightUpdate));
+  ASSERT_FALSE(fused_adam_set.empty());
+  ASSERT_FALSE(p3_set.empty());
+
+  for (const auto& [name, ids] : {std::pair{"fused adam set", fused_adam_set},
+                                  std::pair{"p3 set", p3_set}}) {
+    SCOPED_TRACE(name);
+    DependencyGraph batch = base.Clone();
+    RemoveAll(&batch, ids);
+    DependencyGraph oracle = base.Clone();
+    RemoveOneByOne(&oracle, ids);
+    ExpectSameEdgeSets(batch, oracle);
+    for (const ExecThread& thread : oracle.Threads()) {
+      EXPECT_EQ(batch.ThreadSequence(thread), oracle.ThreadSequence(thread)) << thread.Label();
+    }
+    EXPECT_EQ(Simulator().Run(batch).makespan, Simulator().Run(oracle).makespan);
+  }
+  // WhatIfFusedAdam's own removal is the same batch.
+  DependencyGraph batch = base.Clone();
+  RemoveAll(&batch, fused_adam_set);
+  ExpectSameEdgeSets(fused, batch);
+}
+
+INSTANTIATE_TEST_SUITE_P(ModelZoo, BatchRemovalZoo, ::testing::ValuesIn(AllModels()),
+                         [](const ::testing::TestParamInfo<ModelId>& info) {
+                           std::string name = ModelName(info.param);
+                           for (char& c : name) {
+                             if (!isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
 }  // namespace
 }  // namespace daydream
