@@ -631,9 +631,10 @@ int Main(int argc, char** argv) {
                            }});
   }
   // The sweep's baseline is the *untransformed* cluster's makespan (the
-  // dispatch graph above already carries the distributed what-if).
-  const TimeNs cluster_baseline = Simulator().Run(cluster).makespan;
-  const SweepRunner sweep_runner(cluster, cluster_baseline);
+  // dispatch graph above already carries the distributed what-if): a
+  // trace-less Daydream over the cluster graph simulates exactly that.
+  const Daydream cluster_daydream(Trace(), cluster.Clone());
+  const SweepRunner sweep_runner(cluster_daydream);
   const double sweep_ms = MeasureMs([&] { sweep_runner.Run(sweep_cases); }, 1, 3, 1.0);
   const double sweep_cases_per_sec =
       static_cast<double>(sweep_cases.size()) / (sweep_ms / 1e3);

@@ -10,7 +10,6 @@
 
 #include "src/core/breakdown.h"
 #include "src/core/critical_path.h"
-#include "src/core/memory_model.h"
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
 #include "src/runtime/ground_truth.h"
@@ -36,10 +35,7 @@ int main() {
   std::printf("baseline: measured %.2f ms, simulated %.2f ms\n", ToMs(trace.makespan()),
               ToMs(daydream.BaselineSimTime()));
   std::printf("breakdown: %s\n", ComputeBreakdown(trace).Summary().c_str());
-  std::printf("%s\n", ComputeCriticalPath(daydream.graph()).Summary().c_str());
-  const ModelGraph model = BuildModel(config.model, config.batch);
-  std::printf("memory:   %s\n\n",
-              EstimateTrainingMemory(model, config.optimizer).Summary().c_str());
+  std::printf("%s\n\n", ComputeCriticalPath(daydream.graph()).Summary().c_str());
 
   TablePrinter table({"what-if", "predicted iter (ms)", "vs baseline"});
 

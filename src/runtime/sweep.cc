@@ -121,14 +121,7 @@ struct SweepRunner::Prepared {
 };
 
 SweepRunner::SweepRunner(const Daydream& daydream, SweepOptions options)
-    : daydream_(&daydream), baseline_sim_(daydream.BaselineSimTime()), options_(options) {}
-
-SweepRunner::SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
-                         SweepOptions options)
-    : owned_(std::make_unique<const Daydream>(Trace(), baseline.Clone())),
-      daydream_(owned_.get()),
-      baseline_sim_(baseline_sim),
-      options_(options) {}
+    : daydream_(daydream), options_(options) {}
 
 SweepRunner::Prepared SweepRunner::Prepare(const SweepCase& sweep_case, size_t index) const {
   Prepared prepared;
@@ -138,12 +131,12 @@ SweepRunner::Prepared SweepRunner::Prepare(const SweepCase& sweep_case, size_t i
   // lint catalog (timing + smell passes) and reports every finding at once.
   LintReport report;
   const DependencyGraph transformed =
-      daydream_->Transform(sweep_case.transform, options_.validate, &report);
+      daydream_.Transform(sweep_case.transform, options_.validate, &report);
   DD_CHECK(report.ok()) << "sweep case '" << sweep_case.name
                         << "' produced an invalid graph:\n"
                         << report.ToString();
   prepared.tasks = transformed.num_alive();
-  prepared.plan = daydream_->Plan(transformed);
+  prepared.plan = daydream_.Plan(transformed);
   if (options_.validate) {
     const LintReport plan_report = GraphLint::LintPlan(prepared.plan, transformed);
     DD_CHECK(plan_report.ok()) << "sweep case '" << sweep_case.name
@@ -194,7 +187,7 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
     SweepOutcome& out = outcomes[prepared->index];
     out.name = sweep_case.name;
     out.tasks = prepared->tasks;
-    out.prediction.baseline = baseline_sim_;
+    out.prediction.baseline = daydream_.BaselineSimTime();
     out.prediction.predicted =
         RunPlanParallel(prepared->plan, sim_jobs, shard_pool.get()).makespan;
   };

@@ -113,15 +113,9 @@ class SweepRunner {
  public:
   // Keeps a reference to `daydream` (graph, baseline simulation and baseline
   // plan); the caller must keep it alive for the runner's lifetime. All
-  // concurrent access to it is read-only.
+  // concurrent access to it is read-only. A pre-built baseline graph without
+  // a trace sweeps through Daydream(Trace(), graph).
   explicit SweepRunner(const Daydream& daydream, SweepOptions options = SweepOptions{});
-
-  // Benchmark/testing entry: sweep over a pre-built baseline graph without
-  // the trace machinery. `baseline_sim` is the makespan reported as every
-  // outcome's baseline; the runner owns a Daydream over a clone of
-  // `baseline`, so its baseline plan is compiled here, once.
-  SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
-              SweepOptions options = SweepOptions{});
 
   // Evaluates every case (concurrently when options.num_threads != 1);
   // outcomes are returned in case order. When options.deadline expires the
@@ -137,9 +131,7 @@ class SweepRunner {
 
   Prepared Prepare(const SweepCase& sweep_case, size_t index) const;
 
-  std::unique_ptr<const Daydream> owned_;  // set by the graph-baseline entry
-  const Daydream* daydream_;               // the caller's, or owned_
-  TimeNs baseline_sim_;
+  const Daydream& daydream_;
   SweepOptions options_;
 };
 

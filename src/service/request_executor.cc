@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/optimizations/p3.h"
-#include "src/core/transform.h"
-#include "src/models/model_zoo.h"
 #include "src/service/version.h"
 #include "src/trace/chrome_trace.h"
 #include "src/trace/trace_io.h"
@@ -426,32 +423,12 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       return response;
     }
     if (what_if.what_if == "p3") {
-      // P3 is not a graph transform — it reports its own metric (the
-      // steady-state parameter-server iteration), so it bypasses the plan
-      // cache and the session's transform machinery entirely.
-      if (!session->model_id().has_value()) {
-        response.line = ErrorResponse(id, "bad_request", "trace lacks a known model name");
+      TimeNs predicted = 0;
+      const SessionStatus status = session->PredictP3(what_if, &predicted, &error);
+      if (status != SessionStatus::kOk) {
+        response.line = ErrorResponse(id, StatusCode(status), error);
         return response;
       }
-      // PredictPsIterationTime aborts on anything but a 2-iteration profile;
-      // the daemon must refuse with an envelope instead.
-      const size_t boundaries =
-          session->daydream()
-              .graph()
-              .Select(All(ApiIs(ApiKind::kDeviceSynchronize), NameContains("iter_end")))
-              .size();
-      if (boundaries != 2) {
-        response.line = ErrorResponse(
-            id, "bad_request",
-            "p3 needs a 2-iteration trace (re-run `daydream collect --iterations 2`)");
-        return response;
-      }
-      PsWhatIf opts;
-      opts.network = what_if.cluster.network;
-      opts.num_servers = what_if.cluster.machines;
-      const ModelGraph model =
-          BuildModel(*session->model_id(), DefaultBatch(*session->model_id()));
-      const TimeNs predicted = PredictPsIterationTime(session->daydream(), model, opts);
       ResponseWriter writer = BeginResponse(id, /*ok=*/true);
       writer.AddString("what_if", "p3");
       writer.AddMs("p3_iteration_ms", predicted);

@@ -8,6 +8,8 @@
 #include "src/core/critical_path.h"
 #include "src/core/graph_builder.h"
 #include "src/core/layer_report.h"
+#include "src/core/optimizations/p3.h"
+#include "src/core/transform.h"
 #include "src/util/fault.h"
 #include "src/util/string_util.h"
 
@@ -39,8 +41,7 @@ TraceSession::TraceSession(Trace trace, DependencyGraph graph, SessionOptions op
     : options_(options),
       daydream_(std::move(trace), std::move(graph)),
       layer_map_(LayerMap::Compute(daydream_.trace())),
-      model_id_(LookupModel(daydream_.trace().model_name())),
-      plan_cache_(options.plan_cache_capacity) {
+      model_id_(LookupModel(daydream_.trace().model_name())) {
   if (model_id_.has_value()) {
     model_graph_ = std::make_shared<const ModelGraph>(BuildModel(*model_id_));
   }
@@ -57,19 +58,14 @@ SessionStatus TraceSession::ResolveTransform(const WhatIfRequest& request,
   return *transform ? SessionStatus::kOk : SessionStatus::kBadRequest;
 }
 
-SessionStatus TraceSession::TransformedGraph(
-    const WhatIfRequest& request, const std::function<void(DependencyGraph*)>& transform,
-    std::shared_ptr<const DependencyGraph>* graph, int* tasks, std::string* error) {
-  const std::string signature = request.Signature();
-  {
-    std::lock_guard<std::mutex> lock(transforms_mu_);
-    auto it = transforms_.find(signature);
-    if (it != transforms_.end()) {
-      it->second.sequence = ++transform_sequence_;
-      *graph = it->second.graph;
-      *tasks = it->second.tasks;
-      return SessionStatus::kOk;
-    }
+SessionStatus TraceSession::BuildEntry(const WhatIfRequest& request,
+                                       const std::string& signature,
+                                       std::shared_ptr<const DependencyGraph>* graph, int* tasks,
+                                       std::string* error) {
+  std::function<void(DependencyGraph*)> transform;
+  const SessionStatus resolved = ResolveTransform(request, &transform, error);
+  if (resolved != SessionStatus::kOk) {
+    return resolved;
   }
 
   // Build outside the lock: clone + transform can take tens of milliseconds
@@ -86,33 +82,27 @@ SessionStatus TraceSession::TransformedGraph(
     return SessionStatus::kLintFailed;
   }
 
-  std::lock_guard<std::mutex> lock(transforms_mu_);
-  auto it = transforms_.find(signature);
-  if (it == transforms_.end()) {
-    CachedTransform entry;
-    entry.graph = std::move(transformed);
-    entry.tasks = entry.graph->num_alive();
-    entry.sequence = ++transform_sequence_;
-    it = transforms_.emplace(signature, std::move(entry)).first;
-    while (transforms_.size() > options_.plan_cache_capacity) {
-      auto victim = std::min_element(transforms_.begin(), transforms_.end(),
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  // A concurrent builder may have inserted this signature first; its entry
+  // (and its plan, if compiled) wins and this graph is dropped.
+  auto [it, inserted] = cache_.try_emplace(signature);
+  it->second.sequence = ++cache_sequence_;
+  if (inserted) {
+    it->second.graph = std::move(transformed);
+    it->second.tasks = it->second.graph->num_alive();
+    while (cache_.size() > options_.plan_cache_capacity) {
+      auto victim = std::min_element(cache_.begin(), cache_.end(),
                                      [](const auto& a, const auto& b) {
                                        return a.second.sequence < b.second.sequence;
                                      });
       if (victim == it) {
         break;
       }
-      // The victim's graph is unreachable now, so its cached plan is too.
-      // Erase exactly its key: timing-only transforms all keep the baseline
-      // structure stamp, so the stamp alone would drop their plans as well.
-      plan_cache_.Erase({victim->second.graph->structure_stamp(), victim->first});
-      transforms_.erase(victim);
+      if (victim->second.plan != nullptr) {
+        ++stats_.evictions;
+      }
+      cache_.erase(victim);
     }
-  } else {
-    // A concurrent builder raced us to this signature. Its graph carries a
-    // different structure stamp, so adopt the winner's — mixing the two
-    // would split the plan cache over stamps that denote the same request.
-    it->second.sequence = ++transform_sequence_;
   }
   *graph = it->second.graph;
   *tasks = it->second.tasks;
@@ -121,17 +111,23 @@ SessionStatus TraceSession::TransformedGraph(
 
 SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                                     std::string* error, const Deadline& deadline) {
-  std::function<void(DependencyGraph*)> transform;
-  const SessionStatus resolved = ResolveTransform(request, &transform, error);
-  if (resolved != SessionStatus::kOk) {
-    return resolved;
-  }
-
+  const std::string signature = request.Signature();
   std::shared_ptr<const DependencyGraph> graph;
   int tasks = 0;
-  const SessionStatus built = TransformedGraph(request, transform, &graph, &tasks, error);
-  if (built != SessionStatus::kOk) {
-    return built;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = cache_.find(signature);
+    if (it != cache_.end()) {
+      it->second.sequence = ++cache_sequence_;
+      graph = it->second.graph;
+      tasks = it->second.tasks;
+    }
+  }
+  if (graph == nullptr) {
+    const SessionStatus built = BuildEntry(request, signature, &graph, &tasks, error);
+    if (built != SessionStatus::kOk) {
+      return built;
+    }
   }
   if (deadline.Expired()) {
     *error = "deadline expired after the what-if transform";
@@ -152,8 +148,15 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
   outcome->tasks = tasks;
   outcome->prediction.baseline = daydream_.BaselineSimTime();
 
-  const PlanCache::Key key{graph->structure_stamp(), request.Signature()};
-  std::shared_ptr<const SimPlan> plan = plan_cache_.Get(key);
+  std::shared_ptr<const SimPlan> plan;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = cache_.find(signature);
+    if (it != cache_.end()) {
+      plan = it->second.plan;
+    }
+    ++(plan != nullptr ? stats_.hits : stats_.misses);
+  }
   outcome->plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
     if (FaultInjector::Global().ShouldFail("plan_compile")) {
@@ -162,7 +165,17 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
     }
     bool retimed = false;
     plan = std::make_shared<const SimPlan>(daydream_.Plan(*graph, &retimed));
-    plan_cache_.Put(key, plan, retimed);
+    // Fault site: a failed store degrades gracefully — this request still
+    // answers from its local plan, the entry keeps its graph but stays
+    // without a plan.
+    if (!FaultInjector::Global().ShouldFail("plan_cache_insert")) {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      ++(retimed ? stats_.retimes : stats_.compiles);
+      auto it = cache_.find(signature);
+      if (it != cache_.end() && it->second.plan == nullptr) {
+        it->second.plan = plan;
+      }
+    }
   }
   if (deadline.Expired()) {
     *error = "deadline expired before plan dispatch";
@@ -183,6 +196,42 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
     return SessionStatus::kDeadlineExceeded;
   }
   return SessionStatus::kOk;
+}
+
+SessionStatus TraceSession::PredictP3(const WhatIfRequest& request, TimeNs* iteration,
+                                      std::string* error) const {
+  if (!model_id_.has_value()) {
+    *error = "trace lacks a known model name";
+    return SessionStatus::kBadRequest;
+  }
+  // PredictPsIterationTime DD_CHECKs on anything but a 2-iteration profile;
+  // refuse here instead.
+  const size_t boundaries =
+      daydream_.graph()
+          .Select(All(ApiIs(ApiKind::kDeviceSynchronize), NameContains("iter_end")))
+          .size();
+  if (boundaries != 2) {
+    *error = "p3 needs a 2-iteration trace (re-run `daydream collect --iterations 2`)";
+    return SessionStatus::kBadRequest;
+  }
+  PsWhatIf options;
+  options.network = request.cluster.network;
+  options.num_servers = request.cluster.machines;
+  *iteration = PredictPsIterationTime(
+      daydream_, BuildModel(*model_id_, DefaultBatch(*model_id_)), options);
+  return SessionStatus::kOk;
+}
+
+PlanCacheStats TraceSession::plan_cache_stats() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return stats_;
+}
+
+size_t TraceSession::plan_cache_size() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return static_cast<size_t>(std::count_if(cache_.begin(), cache_.end(), [](const auto& entry) {
+    return entry.second.plan != nullptr;
+  }));
 }
 
 std::vector<SweepOutcome> TraceSession::Sweep(const std::vector<SweepCase>& cases,

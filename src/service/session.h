@@ -7,12 +7,15 @@
 // baseline simulation — and then answers an arbitrary number of
 // predict/sweep/lint queries against it:
 //
-//   - Predict resolves a WhatIfRequest to a graph transform (ResolveWhatIf,
-//     src/runtime/sweep.h), caches the transformed graph per request
-//     signature, and serves the compiled plan from the PlanCache: a repeated
-//     query is a lookup + plan dispatch; a timing-only what-if that misses
-//     fills the cache through Daydream::Plan's Retime over the baseline
-//     structure instead of a full CSR compile.
+//   - Predict serves a WhatIfRequest from one LRU cache keyed on the request
+//     signature. An entry holds the transformed graph (resolved through
+//     ResolveWhatIf, src/runtime/sweep.h, and built on the signature's first
+//     query) and the plan compiled from it (filled on the first successful
+//     compile): a repeated query is a lookup + plan dispatch; a timing-only
+//     what-if that misses fills its entry through Daydream::Plan's Retime over
+//     the baseline structure instead of a full CSR compile.
+//   - PredictP3 answers the p3 what-if, which is not a graph transform (it
+//     reports the steady-state parameter-server iteration).
 //   - Sweep runs a case matrix through the existing SweepRunner pipeline over
 //     this session's shared Daydream instance.
 //   - Lint runs the GraphLint catalog over the session graph (optionally
@@ -25,6 +28,7 @@
 #ifndef SRC_SERVICE_SESSION_H_
 #define SRC_SERVICE_SESSION_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,7 +42,6 @@
 #include "src/core/predictor.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/sweep.h"
-#include "src/service/plan_cache.h"
 #include "src/util/deadline.h"
 
 namespace daydream {
@@ -46,7 +49,21 @@ namespace daydream {
 struct PredictOutcome {
   PredictionResult prediction;
   int tasks = 0;            // alive tasks in the transformed graph
-  bool plan_cache_hit = false;  // served straight from the PlanCache
+  bool plan_cache_hit = false;  // served straight from the session's cache
+};
+
+// The plan side of the session cache. A hit or miss is counted once per
+// predict that reaches its plan (after the transform, the deadline check and
+// the `validate` lint).
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  // Evicted cache entries that held a plan.
+  uint64_t evictions = 0;
+  // How the misses were filled: Retime over a donor structure block
+  // (timing-only what-ifs) vs a full CSR compile.
+  uint64_t retimes = 0;
+  uint64_t compiles = 0;
 };
 
 // How a session call failed; the CLI maps these onto its historical exit
@@ -65,7 +82,7 @@ enum class SessionStatus {
 };
 
 struct SessionOptions {
-  // Bounds both the PlanCache and the per-signature transformed-graph cache.
+  // Bounds the session's signature-keyed cache (transformed graph + plan).
   size_t plan_cache_capacity = 64;
 };
 
@@ -81,21 +98,27 @@ class TraceSession {
   const Trace& trace() const { return daydream_.trace(); }
   const Daydream& daydream() const { return daydream_; }
   const LayerMap& layer_map() const { return layer_map_; }
-  std::optional<ModelId> model_id() const { return model_id_; }
 
   // Resolves request.what_if to a graph transform through ResolveWhatIf with
   // this session's model graph (p3 is not a graph transform — it reports its
-  // own metric; see PredictPsIterationTime).
+  // own metric; see PredictP3).
   SessionStatus ResolveTransform(const WhatIfRequest& request,
                                  std::function<void(DependencyGraph*)>* transform,
                                  std::string* error) const;
 
-  // One what-if prediction with warm-plan reuse (see file comment).
+  // One what-if prediction with warm-plan reuse (see file comment). The
+  // request is resolved through ResolveTransform only on a cache miss.
   // `deadline` is checked between the pipeline's stages (after the transform,
   // after the compile, between shard horizons when the dispatch is sharded):
   // an expired budget returns kDeadlineExceeded instead of finishing.
   SessionStatus Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                         std::string* error, const Deadline& deadline = Deadline());
+
+  // The p3 what-if: the predicted steady-state parameter-server iteration
+  // (PredictPsIterationTime). kBadRequest, never an abort, when the trace's
+  // model is not in the zoo or the trace is not a 2-iteration profile.
+  SessionStatus PredictP3(const WhatIfRequest& request, TimeNs* iteration,
+                          std::string* error) const;
 
   // The sweep matrix over this session's shared Daydream. When
   // options.deadline expires mid-matrix the runner stops claiming cases and
@@ -114,8 +137,9 @@ class TraceSession {
   // layers), verbatim.
   std::string ReportText() const;
 
-  PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
-  size_t plan_cache_size() const { return plan_cache_.size(); }
+  PlanCacheStats plan_cache_stats() const;
+  // Cache entries that hold a plan.
+  size_t plan_cache_size() const;
 
   // Estimated resident footprint (trace events + alive graph tasks), the
   // quantity SessionManager's max_resident_bytes quota sums. An estimate on
@@ -124,21 +148,22 @@ class TraceSession {
   size_t resident_bytes() const { return resident_bytes_; }
 
  private:
-  struct CachedTransform {
+  struct CacheEntry {
     std::shared_ptr<const DependencyGraph> graph;
     int tasks = 0;
-    uint64_t sequence = 0;  // LRU clock
+    std::shared_ptr<const SimPlan> plan;  // null until the first compile
+    uint64_t sequence = 0;                // LRU clock
   };
 
   TraceSession(Trace trace, DependencyGraph graph, SessionOptions options);
 
-  // Returns the cached transformed graph for the request signature, building
-  // it through Daydream::Transform (clone + transform + structural lint) on
-  // miss. kLintFailed when the transform output is rejected.
-  SessionStatus TransformedGraph(const WhatIfRequest& request,
-                                 const std::function<void(DependencyGraph*)>& transform,
-                                 std::shared_ptr<const DependencyGraph>* graph, int* tasks,
-                                 std::string* error);
+  // The cache miss: resolves the request and builds its transformed graph
+  // through Daydream::Transform (clone + transform + structural lint), then
+  // inserts it under `signature`, evicting the least-recently-used entries
+  // past capacity. kLintFailed when the transform output is rejected.
+  SessionStatus BuildEntry(const WhatIfRequest& request, const std::string& signature,
+                           std::shared_ptr<const DependencyGraph>* graph, int* tasks,
+                           std::string* error);
 
   const SessionOptions options_;
   Daydream daydream_;
@@ -148,11 +173,11 @@ class TraceSession {
   // every resolved transform (read-only, as in BuildStandardSweep).
   std::shared_ptr<const ModelGraph> model_graph_;
 
-  PlanCache plan_cache_;
   size_t resident_bytes_ = 0;
-  mutable std::mutex transforms_mu_;
-  std::map<std::string, CachedTransform> transforms_;  // signature -> graph
-  uint64_t transform_sequence_ = 0;
+  mutable std::mutex cache_mu_;
+  std::map<std::string, CacheEntry> cache_;  // signature -> entry
+  uint64_t cache_sequence_ = 0;
+  PlanCacheStats stats_;
 };
 
 // Resource quotas for the session table; zero disables a bound.

@@ -350,11 +350,13 @@ TEST(SimPlanDifferential, StructuralMutationInvalidatesCompatibility) {
   const Daydream daydream(trace);
 
   DependencyGraph timing_only = daydream.CloneGraph();
-  WhatIfAmp(&timing_only);
+  WhatIfAmp(&timing_only);  // timing-only: stamp preserved
+  EXPECT_EQ(timing_only.structure_stamp(), daydream.graph().structure_stamp());
   EXPECT_TRUE(daydream.baseline_plan().CompatibleWith(timing_only));
 
   DependencyGraph structural = daydream.CloneGraph();
-  WhatIfFusedAdam(&structural);  // removes tasks
+  WhatIfFusedAdam(&structural);  // removes tasks: stamp bumped
+  EXPECT_NE(structural.structure_stamp(), daydream.graph().structure_stamp());
   EXPECT_FALSE(daydream.baseline_plan().CompatibleWith(structural));
 
   // Simulator::Compile silently falls back to a full compile — and the full

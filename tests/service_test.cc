@@ -1,8 +1,8 @@
-// Service-layer tests: PlanCache policy (hit/miss/LRU/stamp invalidation),
-// TraceSession warm-query reuse against the Daydream and Algorithm-1
-// oracles, transform-cache eviction, and the
+// Service-layer tests: TraceSession warm-query reuse against the Daydream and
+// Algorithm-1 oracles, the signature-keyed cache's policy (hit/miss/LRU
+// eviction, racing misses, dropped plan stores), p3's precondition, and the
 // SessionManager table — including the multi-client stress the TSan CI job
-// runs (many threads hammering one session's caches).
+// runs (many threads hammering one session's cache).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,107 +14,12 @@
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
 #include "src/runtime/ground_truth.h"
-#include "src/service/plan_cache.h"
+#include "src/util/fault.h"
 #include "src/service/session.h"
 #include "tests/reference_scan.h"
 
 namespace daydream {
 namespace {
-
-// ---- PlanCache ----
-
-std::shared_ptr<const SimPlan> DummyPlan() { return std::make_shared<const SimPlan>(); }
-
-TEST(PlanCache, MissThenPutThenHit) {
-  PlanCache cache(4);
-  const PlanCache::Key key{1, "amp"};
-  EXPECT_EQ(cache.Get(key), nullptr);
-  cache.Put(key, DummyPlan(), /*retimed=*/true);
-  EXPECT_NE(cache.Get(key), nullptr);
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.retimes, 1u);
-  EXPECT_EQ(stats.compiles, 0u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCache, KeySeparatesStampSchedulerAndSignature) {
-  PlanCache cache(8);
-  cache.Put({1, "amp"}, DummyPlan(), false);
-  // Timing variants over one shared structure: same stamp, different
-  // signature — must not alias.
-  EXPECT_EQ(cache.Get({1, "other"}), nullptr);
-  EXPECT_EQ(cache.Get({2, "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "amp"}), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCache, EvictsLeastRecentlyUsedPastCapacity) {
-  PlanCache cache(2);
-  cache.Put({1, "a"}, DummyPlan(), false);
-  cache.Put({2, "b"}, DummyPlan(), false);
-  EXPECT_NE(cache.Get({1, "a"}), nullptr);  // promote key 1
-  cache.Put({3, "c"}, DummyPlan(), false);  // evicts key 2, the LRU
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get({2, "b"}), nullptr);
-  EXPECT_NE(cache.Get({1, "a"}), nullptr);
-  EXPECT_NE(cache.Get({3, "c"}), nullptr);
-}
-
-TEST(PlanCache, PutOnExistingKeyRefreshesInPlace) {
-  PlanCache cache(2);
-  const PlanCache::Key key{1, "a"};
-  cache.Put(key, DummyPlan(), false);
-  cache.Put(key, DummyPlan(), true);  // a concurrent builder raced us
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.stats().compiles, 1u);
-  EXPECT_EQ(cache.stats().retimes, 1u);
-}
-
-TEST(PlanCache, EraseSignatureIsScopedToOneSignature) {
-  PlanCache cache(8);
-  cache.Put({1, "amp"}, DummyPlan(), false);
-  cache.Put({1, "other"}, DummyPlan(), false);
-  cache.Erase({1, "amp"});
-  EXPECT_EQ(cache.Get({1, "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "other"}), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.Erase({1, "amp"});  // already gone: not another eviction
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(PlanCache, StampInvalidationAfterStructuralMutation) {
-  // The end-to-end contract: timing-only edits preserve the structure stamp
-  // (their plans stay reachable), structural mutation bumps it (every plan
-  // compiled from the old structure becomes unreachable under the new stamp).
-  const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
-  const Daydream daydream(trace);
-  PlanCache cache(4);
-
-  DependencyGraph amp = daydream.CloneGraph();
-  WhatIfAmp(&amp);  // timing-only: stamp preserved
-  EXPECT_EQ(amp.structure_stamp(), daydream.graph().structure_stamp());
-
-  DependencyGraph fused = daydream.CloneGraph();
-  WhatIfFusedAdam(&fused);  // removes optimizer tasks: stamp bumped
-  EXPECT_NE(fused.structure_stamp(), daydream.graph().structure_stamp());
-
-  const Simulator simulator;
-  cache.Put({amp.structure_stamp(), "amp"},
-            std::make_shared<const SimPlan>(
-                simulator.Compile(amp, &daydream.baseline_plan())),
-            /*retimed=*/true);
-  cache.Put({fused.structure_stamp(), "fused_adam"},
-            std::make_shared<const SimPlan>(simulator.Compile(fused)),
-            /*retimed=*/false);
-
-  EXPECT_EQ(cache.Get({fused.structure_stamp(), "amp"}), nullptr);
-  EXPECT_NE(cache.Get({amp.structure_stamp(), "amp"}), nullptr);
-  EXPECT_NE(cache.Get({fused.structure_stamp(), "fused_adam"}), nullptr);
-}
 
 // ---- WhatIfRequest signatures ----
 
@@ -137,6 +42,58 @@ TEST(WhatIfRequestSignature, DistinguishesEveryTransformParameter) {
   amp_validated.validate = true;
   amp_validated.sim_jobs = 4;
   EXPECT_EQ(amp.Signature(), amp_validated.Signature());
+}
+
+// ---- The session's plan cache ----
+
+TEST(PlanCache, StampInvalidationAfterStructuralMutation) {
+  // The end-to-end contract: timing-only edits preserve the structure stamp
+  // (their plans are filled by retiming the baseline structure), structural
+  // mutation bumps it (its plan needs a full compile). Each signature keeps
+  // its own plan either way.
+  const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
+  const Daydream daydream(trace);
+
+  DependencyGraph amp = daydream.CloneGraph();
+  WhatIfAmp(&amp);  // timing-only: stamp preserved
+  EXPECT_EQ(amp.structure_stamp(), daydream.graph().structure_stamp());
+
+  DependencyGraph fused = daydream.CloneGraph();
+  WhatIfFusedAdam(&fused);  // removes optimizer tasks: stamp bumped
+  EXPECT_NE(fused.structure_stamp(), daydream.graph().structure_stamp());
+
+  SessionOptions options;
+  options.plan_cache_capacity = 4;
+  std::string error;
+  std::shared_ptr<TraceSession> session = TraceSession::Create(trace, options, &error);
+  ASSERT_NE(session, nullptr) << error;
+
+  WhatIfRequest amp_request;
+  amp_request.what_if = "amp";
+  WhatIfRequest fused_request;
+  fused_request.what_if = "fused_adam";
+  PredictOutcome outcome;
+  ASSERT_EQ(session->Predict(amp_request, &outcome, &error), SessionStatus::kOk) << error;
+  EXPECT_FALSE(outcome.plan_cache_hit);
+  ASSERT_EQ(session->Predict(fused_request, &outcome, &error), SessionStatus::kOk) << error;
+  EXPECT_FALSE(outcome.plan_cache_hit);
+  PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.retimes, 1u);   // amp
+  EXPECT_EQ(stats.compiles, 1u);  // fused_adam
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+
+  // The fused plan did not displace the amp plan: both are still reachable.
+  ASSERT_EQ(session->Predict(amp_request, &outcome, &error), SessionStatus::kOk) << error;
+  EXPECT_TRUE(outcome.plan_cache_hit);
+  EXPECT_EQ(outcome.prediction.predicted,
+            daydream.Predict([](DependencyGraph* g) { WhatIfAmp(g); }).predicted);
+  ASSERT_EQ(session->Predict(fused_request, &outcome, &error), SessionStatus::kOk) << error;
+  EXPECT_TRUE(outcome.plan_cache_hit);
+  EXPECT_EQ(outcome.prediction.predicted,
+            daydream.Predict([](DependencyGraph* g) { WhatIfFusedAdam(g); }).predicted);
+  stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.retimes + stats.compiles, 2u);
 }
 
 // ---- TraceSession ----
@@ -297,7 +254,7 @@ TEST_F(TraceSessionTest, TransformEvictionKeepsOtherTimingOnlyPlans) {
   EXPECT_TRUE(predict_hits("distributed"));
 }
 
-TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
+TEST_F(TraceSessionTest, PredictionMatchesReferenceScan) {
   // The session's answer equals the Algorithm-1 oracle run on the same
   // transformed graph.
   std::shared_ptr<TraceSession> session = NewSession();
@@ -313,6 +270,134 @@ TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
   transform(&transformed);
   EXPECT_EQ(outcome.prediction.predicted, ReferenceScan(transformed).makespan);
   EXPECT_EQ(outcome.tasks, transformed.num_alive());
+}
+
+TEST_F(TraceSessionTest, CacheEvictsTheLeastRecentlyUsedSignature) {
+  SessionOptions options;
+  options.plan_cache_capacity = 2;
+  std::shared_ptr<TraceSession> session = NewSession(options);
+  auto predict_hits = [&](const char* what_if) {
+    WhatIfRequest request;
+    request.what_if = what_if;
+    PredictOutcome outcome;
+    std::string error;
+    EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+    return outcome.plan_cache_hit;
+  };
+  EXPECT_FALSE(predict_hits("amp"));
+  EXPECT_FALSE(predict_hits("fused_adam"));
+  EXPECT_TRUE(predict_hits("amp"));    // amp is now the most recently used
+  EXPECT_FALSE(predict_hits("gist"));  // evicts fused_adam, the LRU entry
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
+  EXPECT_TRUE(predict_hits("amp"));
+  EXPECT_TRUE(predict_hits("gist"));
+  EXPECT_FALSE(predict_hits("fused_adam"));
+}
+
+TEST_F(TraceSessionTest, ConcurrentMissesOnOneSignatureKeepOneEntry) {
+  // Every thread misses the cold signature at once; each builds its own
+  // graph and plan, but the cache ends up with one entry and all answers
+  // agree.
+  std::shared_ptr<TraceSession> session = NewSession();
+  WhatIfRequest request;
+  request.what_if = "amp";
+  constexpr int kThreads = 8;
+  std::vector<TimeNs> predicted(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PredictOutcome outcome;
+      std::string error;
+      if (session->Predict(request, &outcome, &error) == SessionStatus::kOk) {
+        predicted[t] = outcome.prediction.predicted;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_GT(predicted[t], 0) << "thread " << t;
+    EXPECT_EQ(predicted[t], predicted[0]) << "thread " << t;
+  }
+  EXPECT_EQ(session->plan_cache_size(), 1u);
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.retimes, stats.misses);  // every miss filled (amp retimes)
+  EXPECT_EQ(stats.compiles, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST_F(TraceSessionTest, DroppedPlanStoreKeepsTheGraphButNotThePlan) {
+  SessionOptions options;
+  options.plan_cache_capacity = 1;
+  std::shared_ptr<TraceSession> session = NewSession(options);
+  auto predict = [&](const char* what_if, bool drop_store) {
+    WhatIfRequest request;
+    request.what_if = what_if;
+    PredictOutcome outcome;
+    std::string error;
+    std::string arm_error;
+    if (drop_store) {
+      EXPECT_TRUE(FaultInjector::Global().ArmSpec("plan_cache_insert:fail", &arm_error))
+          << arm_error;
+    }
+    EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+    FaultInjector::Global().Disarm();
+    return outcome;
+  };
+
+  // The request still answers from its local plan; nothing is stored and no
+  // retime or compile is counted.
+  const PredictOutcome dropped = predict("amp", /*drop_store=*/true);
+  EXPECT_FALSE(dropped.plan_cache_hit);
+  EXPECT_EQ(session->plan_cache_size(), 0u);
+  PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.retimes + stats.compiles, 0u);
+
+  // The entry kept its graph: the next query misses only the plan and fills
+  // it; the one after hits.
+  EXPECT_FALSE(predict("amp", false).plan_cache_hit);
+  const PredictOutcome warm = predict("amp", false);
+  EXPECT_TRUE(warm.plan_cache_hit);
+  EXPECT_EQ(dropped.prediction.predicted, warm.prediction.predicted);
+  EXPECT_EQ(dropped.tasks, warm.tasks);
+  EXPECT_EQ(session->plan_cache_size(), 1u);
+  stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.retimes, 1u);
+
+  // Evictions count only entries that held a plan: dropping fused_adam's
+  // store evicts amp's entry (one eviction), and gist then evicts
+  // fused_adam's plan-less entry (none).
+  predict("fused_adam", /*drop_store=*/true);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
+  EXPECT_EQ(session->plan_cache_size(), 0u);
+  predict("gist", false);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
+  EXPECT_EQ(session->plan_cache_size(), 1u);
+}
+
+TEST_F(TraceSessionTest, P3NeedsATwoIterationTrace) {
+  WhatIfRequest request;
+  request.what_if = "p3";
+  request.cluster.machines = 2;
+  TimeNs iteration = 0;
+  std::string error;
+  // The fixture trace profiles one iteration: refused, not aborted.
+  EXPECT_EQ(NewSession()->PredictP3(request, &iteration, &error), SessionStatus::kBadRequest);
+  EXPECT_NE(error.find("2-iteration trace"), std::string::npos) << error;
+
+  std::shared_ptr<TraceSession> two_iterations = TraceSession::Create(
+      CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp), /*iterations=*/2),
+      SessionOptions{}, &error);
+  ASSERT_NE(two_iterations, nullptr) << error;
+  ASSERT_EQ(two_iterations->PredictP3(request, &iteration, &error), SessionStatus::kOk) << error;
+  EXPECT_GT(iteration, 0);
 }
 
 TEST_F(TraceSessionTest, UnknownWhatIfIsReportedNotFatal) {
@@ -339,6 +424,11 @@ TEST_F(TraceSessionTest, LayerStructuredWhatIfNeedsAKnownModel) {
   request.what_if = "rbn";
   PredictOutcome outcome;
   EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kBadRequest);
+  EXPECT_NE(error.find("known model name"), std::string::npos);
+  request.what_if = "p3";
+  TimeNs iteration = 0;
+  error.clear();
+  EXPECT_EQ(session->PredictP3(request, &iteration, &error), SessionStatus::kBadRequest);
   EXPECT_NE(error.find("known model name"), std::string::npos);
 }
 

@@ -109,10 +109,12 @@ TEST(SweepRunner, ReferenceEngineMatchesCompiledPlans) {
 }
 
 TEST(SweepRunner, GraphBaselineConstructorSweepsWithoutATrace) {
-  // The bench entry point: a pre-built baseline graph, no trace machinery.
+  // A pre-built baseline graph, no trace machinery: a trace-less Daydream
+  // over the graph is the one SweepRunner entry.
   const Daydream daydream(ResNetTrace());
   const TimeNs baseline = daydream.BaselineSimTime();
-  const SweepRunner runner(daydream.graph(), baseline);
+  const Daydream graph_only(Trace(), daydream.graph().Clone());
+  const SweepRunner runner(graph_only);
   const std::vector<SweepOutcome> outcomes =
       runner.Run({{"amp", [](DependencyGraph* g) { WhatIfAmp(g); }}, {"noop", nullptr}});
   ASSERT_EQ(outcomes.size(), 2u);

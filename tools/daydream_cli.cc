@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 
-#include "src/core/optimizations/p3.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/ground_truth.h"
 #include "src/service/serve.h"
@@ -258,17 +257,11 @@ int CmdPredict(const Args& args) {
   }
 
   if (request.what_if == "p3") {
-    const std::optional<ModelId> model_id = session->model_id();
-    if (!model_id.has_value()) {
-      std::cerr << "trace lacks a known model name\n";
+    TimeNs predicted = 0;
+    if (session->PredictP3(request, &predicted, &error) != SessionStatus::kOk) {
+      std::cerr << error << "\n";
       return 2;
     }
-    PsWhatIf opts;
-    opts.network = request.cluster.network;
-    opts.num_servers = request.cluster.machines;
-    // Note: P3 prediction requires a trace collected with --iterations 2.
-    const ModelGraph model = BuildModel(*model_id, DefaultBatch(*model_id));
-    const TimeNs predicted = PredictPsIterationTime(session->daydream(), model, opts);
     std::cout << StrFormat("P3 predicted steady-state iteration: %.1f ms\n", ToMs(predicted));
     return 0;
   }
