@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "src/core/layer_map.h"
 #include "src/util/logging.h"
 
 namespace daydream {
@@ -16,14 +17,10 @@ bool IsBlockingSyncApi(const TraceEvent& e) {
 
 }  // namespace
 
-DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions& options) {
+DependencyGraph BuildDependencyGraph(const Trace& trace) {
   DependencyGraph graph;
   const std::vector<TraceEvent>& events = trace.events();
-
-  LayerMap layer_map;
-  if (options.map_layers) {
-    layer_map = LayerMap::Compute(trace);
-  }
+  const LayerMap layer_map = LayerMap::Compute(trace);
 
   // Blocking DtoH memcpy APIs are recognized by the DtoH kind of the GPU copy
   // sharing their correlation id.
@@ -66,22 +63,17 @@ DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions
     t.comm = e.comm_kind;
     t.correlation_id = e.correlation_id;
     t.bytes = e.bytes;
-    if (options.map_layers) {
-      const LayerAssignment& a = layer_map.assignment(idx);
-      t.layer_id = a.layer_id;
-      t.phase = a.phase;
-    } else {
-      t.layer_id = e.layer_id;
-      t.phase = e.phase;
-    }
+    const LayerAssignment& a = layer_map.assignment(idx);
+    t.layer_id = a.layer_id;
+    t.phase = a.phase;
     switch (e.kind) {
       case EventKind::kRuntimeApi:
         t.type = TaskType::kCpu;
         t.thread = ExecThread::Cpu(e.thread_id);
         if (IsBlockingSyncApi(e)) {
-          t.duration = std::min(t.duration, options.sync_api_floor);
+          t.duration = std::min(t.duration, kSyncApiFloor);
         } else if (is_blocking_dtoh_api(e)) {
-          t.duration = std::min(t.duration, options.memcpy_api_floor);
+          t.duration = std::min(t.duration, kMemcpyApiFloor);
         }
         break;
       case EventKind::kDataLoad:

@@ -18,22 +18,18 @@
 #define SRC_CORE_GRAPH_BUILDER_H_
 
 #include "src/core/dependency_graph.h"
-#include "src/core/layer_map.h"
 #include "src/trace/trace.h"
 
 namespace daydream {
 
-struct GraphBuildOptions {
-  // Upper bound used for the stored duration of blocking sync APIs.
-  TimeNs sync_api_floor = 4 * kMicrosecond;
-  // Upper bound for the CPU-side duration of blocking DtoH memcpy APIs.
-  TimeNs memcpy_api_floor = 9 * kMicrosecond;
-  // Attach layer/phase assignments from the synchronization-free layer map.
-  bool map_layers = true;
-};
+// Upper bound used for the stored duration of blocking sync APIs.
+constexpr TimeNs kSyncApiFloor = 4 * kMicrosecond;
+// Upper bound for the CPU-side duration of blocking DtoH memcpy APIs.
+constexpr TimeNs kMemcpyApiFloor = 9 * kMicrosecond;
 
-DependencyGraph BuildDependencyGraph(const Trace& trace,
-                                     const GraphBuildOptions& options = GraphBuildOptions{});
+// Tasks carry the layer/phase assignments of the synchronization-free layer
+// map (src/core/layer_map.h).
+DependencyGraph BuildDependencyGraph(const Trace& trace);
 
 }  // namespace daydream
 

@@ -20,8 +20,8 @@ double PredictionResult::SpeedupRatio() const {
   return static_cast<double>(baseline) / static_cast<double>(predicted);
 }
 
-Daydream::Daydream(Trace trace, GraphBuildOptions options)
-    : trace_(std::move(trace)), graph_(BuildDependencyGraph(trace_, options)) {
+Daydream::Daydream(Trace trace)
+    : trace_(std::move(trace)), graph_(BuildDependencyGraph(trace_)) {
   InitBaseline();
 }
 

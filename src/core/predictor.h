@@ -29,7 +29,7 @@ struct PredictionResult {
 
 class Daydream {
  public:
-  explicit Daydream(Trace trace, GraphBuildOptions options = GraphBuildOptions{});
+  explicit Daydream(Trace trace);
 
   // Adopts a dependency graph that was already built (and verified) for
   // `trace` — the service layer builds the graph first so it can refuse a

@@ -21,8 +21,6 @@ bool SimPlan::CompatibleWith(const DependencyGraph& graph) const {
          structure_->capacity == graph.capacity();
 }
 
-SimResult SimPlan::Run() const { return RunEventEngine(*this); }
-
 namespace {
 
 // The policy lowered to a per-task key: ascending (key, task id) is the
@@ -267,14 +265,6 @@ ShardPlan ShardPlan::Compile(const SimPlan& plan, int num_shards) {
   return sp;
 }
 
-ShardPlan ShardPlan::Compile(std::shared_ptr<const SimPlan> plan, int num_shards) {
-  DD_CHECK(plan != nullptr);
-  ShardPlan sp = Compile(*plan, num_shards);
-  sp.owned_ = std::move(plan);
-  sp.plan_ = sp.owned_.get();
-  return sp;
-}
-
 void ShardPlan::FillWindows() {
   const SimPlan::Structure& s = *plan_->structure_;
   const std::vector<TimeNs>& duration = plan_->duration_;
@@ -349,10 +339,6 @@ void ShardPlan::FillWindows() {
     window_source_[pos] = bucketed[pos].source;
     edge_window_pos_[static_cast<size_t>(bucketed[pos].slot)] = static_cast<int32_t>(pos);
   }
-}
-
-SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadline_hit) const {
-  return RunShardedEngine(*this, pool, deadline, deadline_hit);
 }
 
 SimPlan SimPlan::Retime(const SimPlan& donor, const DependencyGraph& graph,

@@ -62,7 +62,7 @@ class SimPlan {
   static SimPlan Retime(const SimPlan& donor, const DependencyGraph& graph,
                         SchedulePolicy policy = SchedulePolicy::kEarliestStart);
 
-  // Dispatches the plan (implemented by the event engine,
+  // Dispatches the plan serially (the event engine,
   // src/core/event_engine.cc): Algorithm 1 over the graph the plan was
   // compiled from.
   SimResult Run() const;
@@ -76,9 +76,10 @@ class SimPlan {
   bool CompatibleWith(const DependencyGraph& graph) const;
 
  private:
-  friend SimResult RunEventEngine(const SimPlan& plan);
-  friend SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                                    const Deadline* deadline, bool* deadline_hit);
+  // The event engine's one dispatch body (src/core/event_engine.cc): a
+  // group of lanes' ready sets and the one-task step. Run() drains one group
+  // over every lane; ShardPlan::Run() drives one group per shard.
+  class LaneDispatch;
   // ShardPlan partitions the frozen arrays for parallel dispatch.
   friend class ShardPlan;
   // GraphLint's plan passes verify the frozen CSR/SoA arrays (and the
@@ -117,9 +118,6 @@ class SimPlan {
   void FillTimingAndKeys(const DependencyGraph& graph, SchedulePolicy policy);
 };
 
-// Runs the event-driven engine over a compiled plan (same as plan.Run()).
-SimResult RunEventEngine(const SimPlan& plan);
-
 // A SimPlan partitioned for multi-core dispatch.
 //
 // Simulated start/end times depend only on each lane's local dispatch order,
@@ -137,16 +135,14 @@ SimResult RunEventEngine(const SimPlan& plan);
 //   - per-edge window positions aligned with the CSR slot array, so dispatch
 //     publishes completions with plain array writes.
 //
-// Run() executes the windowed barrier loop in the event engine
-// (RunShardedEngine) and produces a SimResult byte-identical to plan.Run()
-// for every shard count — equality is exact, not approximate (see
+// Run() drives the event engine's one dispatch body per shard through a
+// windowed barrier loop and produces a SimResult byte-identical to
+// plan.Run() for every shard count — equality is exact, not approximate (see
 // docs/engine.md, "Parallel dispatch").
 //
 // Shard membership and window positions are structural; window bounds are
 // timing. A ShardPlan captures both from one plan, so recompile it after
-// Retime. The referencing-plan overload requires the plan to outlive the
-// ShardPlan (the SweepRunner/bench pattern); the shared_ptr overload co-owns
-// it (the session-cache pattern).
+// Retime. It references the plan, which must outlive it.
 class ShardPlan {
  public:
   ShardPlan() = default;
@@ -154,8 +150,6 @@ class ShardPlan {
   // Partitions `plan` into at most `num_shards` shards (fewer when the lane
   // graph has fewer components). `plan` must outlive the returned ShardPlan.
   static ShardPlan Compile(const SimPlan& plan, int num_shards);
-  // As above, sharing ownership of the plan.
-  static ShardPlan Compile(std::shared_ptr<const SimPlan> plan, int num_shards);
 
   // Dispatches every shard on `pool` (caller participates; a null pool runs
   // the barrier loop on the calling thread alone). The result is exactly
@@ -171,8 +165,6 @@ class ShardPlan {
   const SimPlan& plan() const { return *plan_; }
 
  private:
-  friend SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                                    const Deadline* deadline, bool* deadline_hit);
   // GraphLint::LintShards verifies the partition/window invariants; the
   // test-only ShardCorruptor (src/core/graph_testing.h) injects defects.
   friend class GraphLint;
@@ -183,7 +175,6 @@ class ShardPlan {
   void FillWindows();
 
   const SimPlan* plan_ = nullptr;
-  std::shared_ptr<const SimPlan> owned_;  // set by the shared_ptr overload
   int num_shards_ = 0;
 
   // Lane partition: a disjoint cover of the plan's lanes.
@@ -209,17 +200,12 @@ class ShardPlan {
   std::vector<int32_t> edge_window_pos_;
 };
 
-// Runs the windowed barrier loop over a shard plan (same as shards.Run(pool,
-// deadline, deadline_hit)).
-SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                           const Deadline* deadline = nullptr, bool* deadline_hit = nullptr);
-
 // Dispatches `plan` across `sim_jobs` shards sharing `pool`; a null pool
 // spawns a private pool sized to the shard count for the duration of the
-// call. sim_jobs <= 1 is exactly the serial plan.Run(). Every path returns
-// the identical SimResult. `deadline`/`deadline_hit` follow ShardPlan::Run
-// (checked between rounds on the sharded path, before dispatch on the serial
-// one).
+// call. sim_jobs <= 1, and a plan ShardPlan::Compile leaves in one shard,
+// run the serial plan.Run() instead. Every path returns the identical
+// SimResult. `deadline`/`deadline_hit` follow ShardPlan::Run (checked
+// between rounds on the sharded path, before dispatch on the serial one).
 SimResult RunPlanParallel(const SimPlan& plan, int sim_jobs, ThreadPool* pool = nullptr,
                           const Deadline* deadline = nullptr, bool* deadline_hit = nullptr);
 

@@ -192,25 +192,13 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
         RunPlanParallel(prepared->plan, sim_jobs, shard_pool.get()).makespan;
   };
 
-  int workers = std::clamp(budget / sim_jobs, 1, static_cast<int>(cases.size()));
-  if (workers == 1) {
-    for (size_t i = 0; i < cases.size(); ++i) {
-      if (bounded && options_.deadline.Expired()) {
-        if (deadline_exceeded != nullptr) {
-          *deadline_exceeded = true;
-        }
-        break;
-      }
-      Prepared prepared = Prepare(cases[i], i);
-      record(&prepared, cases[i]);
-    }
-    return outcomes;
-  }
+  const int workers = std::clamp(budget / sim_jobs, 1, static_cast<int>(cases.size()));
 
   // Two-stage pipeline over one worker pool: each worker drains ready plans
   // first (simulation is the stage that retires cases) and otherwise claims
   // the next case to prepare. `depth` bounds prepared-but-unsimulated cases
-  // so a fast prepare stage cannot balloon memory.
+  // so a fast prepare stage cannot balloon memory. The calling thread is
+  // one of the workers; alone, it prepares and simulates in case order.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Prepared> ready;
@@ -270,10 +258,11 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
   };
 
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
+  pool.reserve(static_cast<size_t>(workers) - 1);
+  for (int w = 1; w < workers; ++w) {
     pool.emplace_back(work);
   }
+  work();
   for (std::thread& t : pool) {
     t.join();
   }

@@ -40,7 +40,6 @@ std::shared_ptr<TraceSession> TraceSession::Create(Trace trace, SessionOptions o
 TraceSession::TraceSession(Trace trace, DependencyGraph graph, SessionOptions options)
     : options_(options),
       daydream_(std::move(trace), std::move(graph)),
-      layer_map_(LayerMap::Compute(daydream_.trace())),
       model_id_(LookupModel(daydream_.trace().model_name())) {
   if (model_id_.has_value()) {
     model_graph_ = std::make_shared<const ModelGraph>(BuildModel(*model_id_));

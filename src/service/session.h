@@ -3,8 +3,8 @@
 //
 // Every `daydream` CLI invocation used to re-read the trace, rebuild the
 // dependency graph and recompile SimPlans from scratch. A TraceSession does
-// that work exactly once — trace, built graph, layer map, baseline plan and
-// baseline simulation — and then answers an arbitrary number of
+// that work exactly once — trace, built graph, baseline plan and baseline
+// simulation — and then answers an arbitrary number of
 // predict/sweep/lint queries against it:
 //
 //   - Predict serves a WhatIfRequest from one LRU cache keyed on the request
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "src/core/graph_lint.h"
-#include "src/core/layer_map.h"
 #include "src/core/predictor.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/sweep.h"
@@ -97,7 +96,6 @@ class TraceSession {
 
   const Trace& trace() const { return daydream_.trace(); }
   const Daydream& daydream() const { return daydream_; }
-  const LayerMap& layer_map() const { return layer_map_; }
 
   // Resolves request.what_if to a graph transform through ResolveWhatIf with
   // this session's model graph (p3 is not a graph transform — it reports its
@@ -167,7 +165,6 @@ class TraceSession {
 
   const SessionOptions options_;
   Daydream daydream_;
-  LayerMap layer_map_;
   std::optional<ModelId> model_id_;
   // Layer-structured what-ifs need the model graph; built once, shared by
   // every resolved transform (read-only, as in BuildStandardSweep).

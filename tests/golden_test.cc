@@ -82,6 +82,7 @@ const std::vector<GoldenCase>& Cases() {
       {"tinymlp_i1.ddtrace", "tinymlp_i1_predict_amp.json", "--what-if amp", "predict"},
       {"tinymlp_i1.ddtrace", "tinymlp_i1_predict_pipeline.json",
        "--what-if pipeline --pipeline-stages 2 --microbatches 4 --schedule 1f1b", "predict"},
+      {"tinymlp_i2.ddtrace", "tinymlp_i2_predict_p3.json", "--what-if p3", "predict"},
       {"tinymlp_i2.ddtrace", "tinymlp_i2_sweep.json",
        "--cluster 2x2,4x2 --gbps 10 --pipeline-stages 2,4 --microbatches 4 --schedule 1f1b",
        "sweep"},

@@ -610,13 +610,20 @@ DependencyGraph ShardableGraph() {
   return g;
 }
 
-ShardPlan CompileShards(const DependencyGraph& g, int num_shards = 4) {
-  auto plan = std::make_shared<const SimPlan>(Simulator().Compile(g));
-  return ShardPlan::Compile(std::move(plan), num_shards);
-}
+// A ShardPlan references its plan, so the test holds the two together.
+struct CompiledShards {
+  explicit CompiledShards(const DependencyGraph& g, int num_shards = 4)
+      : plan(Simulator().Compile(g)), shards(ShardPlan::Compile(plan, num_shards)) {}
+  CompiledShards(const CompiledShards&) = delete;
+  CompiledShards& operator=(const CompiledShards&) = delete;
+
+  SimPlan plan;
+  ShardPlan shards;
+};
 
 TEST(ShardLint, CleanShardPlanIsClean) {
-  const ShardPlan shards = CompileShards(ShardableGraph());
+  const CompiledShards compiled(ShardableGraph());
+  const ShardPlan& shards = compiled.shards;
   EXPECT_GE(shards.num_shards(), 2);
   const LintReport report = GraphLint::LintShards(shards);
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -627,7 +634,8 @@ TEST(ShardLint, CleanZooShardPlansAreClean) {
   const Trace& trace = CachedTrace(ModelId::kResNet50);
   const Daydream daydream(trace);
   for (const int jobs : {2, 8}) {
-    const ShardPlan shards = CompileShards(daydream.graph(), jobs);
+    const CompiledShards compiled(daydream.graph(), jobs);
+    const ShardPlan& shards = compiled.shards;
     const LintReport report = GraphLint::LintShards(shards);
     EXPECT_TRUE(report.ok()) << "sim_jobs=" << jobs << "\n" << report.ToString();
   }
@@ -641,7 +649,8 @@ TEST(ShardLint, EmptyShardPlanIsFlagged) {
 }
 
 TEST(ShardLint, ReassignedLaneBreaksPartition) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   // Point lane 0 at a shard no grouped list claims; the disjoint-cover walk
   // must notice the disagreement.
   ShardCorruptor::BreakLaneShard(&shards, 0, shards.num_shards());
@@ -650,7 +659,8 @@ TEST(ShardLint, ReassignedLaneBreaksPartition) {
 }
 
 TEST(ShardLint, ForgedTaskCountBreaksPartition) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   ShardCorruptor::BreakTaskCount(&shards, 0, 9999);
   const LintReport report = GraphLint::LintShards(shards);
   EXPECT_NE(ExpectFlaggedBy(report, "shard-partition").message.find("tasks"),
@@ -658,7 +668,8 @@ TEST(ShardLint, ForgedTaskCountBreaksPartition) {
 }
 
 TEST(ShardLint, RedirectedWindowEntryBreaksEdges) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   // Whatever slot 0 is, pointing it at a wild window position is wrong: an
   // intra-shard edge may carry no entry, and no shard's range holds 1 << 20.
   ShardCorruptor::RedirectWindowEntry(&shards, 0, 1 << 20);
@@ -667,14 +678,16 @@ TEST(ShardLint, RedirectedWindowEntryBreaksEdges) {
 }
 
 TEST(ShardLint, ForgedWindowSourceBreaksEdges) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   ShardCorruptor::BreakWindowSource(&shards, 0, 1 << 20);
   const LintReport report = GraphLint::LintShards(shards);
   EXPECT_FALSE(FindingsIn(report, "shard-edges").empty()) << report.ToString();
 }
 
 TEST(ShardLint, CorruptedStaticBoundBreaksHorizon) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   ShardCorruptor::BreakStaticBound(&shards, 0, Us(999));
   const LintReport report = GraphLint::LintShards(shards);
   EXPECT_NE(ExpectFlaggedBy(report, "shard-horizon").message.find("longest-path"),
@@ -682,7 +695,8 @@ TEST(ShardLint, CorruptedStaticBoundBreaksHorizon) {
 }
 
 TEST(ShardLint, SwappedWindowBoundsBreakHorizon) {
-  ShardPlan shards = CompileShards(ShardableGraph());
+  CompiledShards compiled(ShardableGraph());
+  ShardPlan& shards = compiled.shards;
   // The allreduce shard holds both cross-shard entries, sorted ascending by
   // bound (70us, 85us); swapping them moves the horizon backward.
   ShardCorruptor::SwapWindowBounds(&shards, 0, 1);

@@ -375,13 +375,12 @@ TEST_P(BuilderModelTest, BlockingApisClippedWithGpuEdges) {
   // Dependency type 4: sync APIs keep only their overhead as duration; the
   // measured wait is reproduced through a GPU -> CPU edge to the next task.
   const Trace trace = CollectBaselineTrace(DefaultRunConfig(GetParam()));
-  const GraphBuildOptions options;
   const DependencyGraph g = BuildDependencyGraph(trace);
   bool found_sync = false;
   for (TaskId id : g.Select(
            [](const Task& t) { return t.api == ApiKind::kDeviceSynchronize; })) {
     found_sync = true;
-    EXPECT_LE(g.task(id).duration, options.sync_api_floor);
+    EXPECT_LE(g.task(id).duration, kSyncApiFloor);
   }
   EXPECT_TRUE(found_sync);
   // Some CPU task has a GPU parent (the wait edge).

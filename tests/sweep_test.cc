@@ -142,6 +142,27 @@ TEST(SweepRunner, SingleThreadAndEmptyCases) {
   }
 }
 
+TEST(SweepRunner, ExpiredDeadlineLeavesOutcomesBlank) {
+  const Daydream daydream(ResNetTrace());
+  const std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), {});
+  for (const int threads : {1, 4}) {
+    SweepOptions options;
+    options.num_threads = threads;
+    options.deadline = Deadline::AfterMs(0);
+    bool deadline_exceeded = false;
+    const std::vector<SweepOutcome> outcomes =
+        SweepRunner(daydream, options).Run(cases, &deadline_exceeded);
+    EXPECT_TRUE(deadline_exceeded) << "num_threads=" << threads;
+    ASSERT_EQ(outcomes.size(), cases.size());
+    for (const SweepOutcome& o : outcomes) {
+      EXPECT_TRUE(o.name.empty()) << "num_threads=" << threads << ": " << o.name;
+      EXPECT_EQ(o.tasks, 0);
+      EXPECT_EQ(o.prediction.baseline, 0);
+      EXPECT_EQ(o.prediction.predicted, 0);
+    }
+  }
+}
+
 TEST(SweepRanking, SortsByPredictedAscending) {
   std::vector<SweepOutcome> outcomes(3);
   outcomes[0].name = "slow";

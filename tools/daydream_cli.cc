@@ -235,6 +235,23 @@ std::shared_ptr<TraceSession> LoadSession(const Args& args) {
   return session;
 }
 
+// Writes `body` to the --json FILE, if one was given. False (after a
+// diagnostic) when the file cannot be written.
+bool WriteJsonFlag(const Args& args, const std::string& body, const char* lead = "") {
+  const std::string path = args.Get("json");
+  if (path.empty()) {
+    return true;
+  }
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  out << body;
+  std::cout << lead << "wrote " << path << "\n";
+  return true;
+}
+
 int CmdReport(const Args& args) {
   const std::shared_ptr<TraceSession> session = LoadSession(args);
   if (session == nullptr) {
@@ -263,7 +280,14 @@ int CmdPredict(const Args& args) {
       return 2;
     }
     std::cout << StrFormat("P3 predicted steady-state iteration: %.1f ms\n", ToMs(predicted));
-    return 0;
+    // The field names of the serve verb's p3 response.
+    const std::string json = StrFormat(
+        "{\n"
+        "  \"what_if\": \"p3\",\n"
+        "  \"p3_iteration_ms\": %.3f\n"
+        "}\n",
+        ToMs(predicted));
+    return WriteJsonFlag(args, json) ? 0 : 1;
   }
 
   PredictOutcome outcome;
@@ -291,26 +315,17 @@ int CmdPredict(const Args& args) {
       "baseline (simulated): %.1f ms\n"
       "predicted with '%s': %.1f ms (%+.1f%%)\n",
       ToMs(r.baseline), request.what_if.c_str(), ToMs(r.predicted), -r.SpeedupPct());
-  const std::string json = args.Get("json");
-  if (!json.empty()) {
-    std::ofstream out(json);
-    if (!out.good()) {
-      std::cerr << "cannot write " << json << "\n";
-      return 1;
-    }
-    out << StrFormat(
-        "{\n"
-        "  \"what_if\": \"%s\",\n"
-        "  \"baseline_ms\": %.3f,\n"
-        "  \"predicted_ms\": %.3f,\n"
-        "  \"speedup_pct\": %.2f,\n"
-        "  \"speedup_ratio\": %.3f\n"
-        "}\n",
-        JsonEscape(request.what_if).c_str(), ToMs(r.baseline), ToMs(r.predicted), r.SpeedupPct(),
-        r.SpeedupRatio());
-    std::cout << "wrote " << json << "\n";
-  }
-  return 0;
+  const std::string json = StrFormat(
+      "{\n"
+      "  \"what_if\": \"%s\",\n"
+      "  \"baseline_ms\": %.3f,\n"
+      "  \"predicted_ms\": %.3f,\n"
+      "  \"speedup_pct\": %.2f,\n"
+      "  \"speedup_ratio\": %.3f\n"
+      "}\n",
+      JsonEscape(request.what_if).c_str(), ToMs(r.baseline), ToMs(r.predicted), r.SpeedupPct(),
+      r.SpeedupRatio());
+  return WriteJsonFlag(args, json) ? 0 : 1;
 }
 
 // `daydream lint`: the GraphLint catalog as a standalone verb. Lints the
@@ -352,15 +367,8 @@ int CmdLint(const Args& args) {
   }
 
   std::cout << report.ToString();
-  const std::string json = args.Get("json");
-  if (!json.empty()) {
-    std::ofstream out(json);
-    if (!out.good()) {
-      std::cerr << "cannot write " << json << "\n";
-      return 1;
-    }
-    out << report.ToJson();
-    std::cout << "wrote " << json << "\n";
+  if (!WriteJsonFlag(args, report.ToJson())) {
+    return 1;
   }
   if (report.errors() > 0) {
     return 1;
@@ -434,17 +442,7 @@ int CmdSweep(const Args& args) {
     }
     std::cout << "\nwrote " << csv << "\n";
   }
-  const std::string json = args.Get("json");
-  if (!json.empty()) {
-    std::ofstream out(json);
-    if (!out.good()) {
-      std::cerr << "cannot write " << json << "\n";
-      return 1;
-    }
-    out << SweepReportJson(outcomes);
-    std::cout << "\nwrote " << json << "\n";
-  }
-  return 0;
+  return WriteJsonFlag(args, SweepReportJson(outcomes), "\n") ? 0 : 1;
 }
 
 int CmdServe(const Args& args) {
