@@ -170,7 +170,7 @@ class DependencyGraph {
   // The static verifier reads raw node/lane state (bounded walks over
   // possibly-broken splice links, which the public accessors DD_CHECK on);
   // the test-only corruptor injects the defect classes the verifier must
-  // catch (src/core/graph_testing.h).
+  // catch (tests/graph_testing.h).
   friend class GraphLint;
   friend class GraphCorruptor;
 

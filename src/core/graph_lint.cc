@@ -581,13 +581,9 @@ LintReport GraphLint::LintGraph(const DependencyGraph& graph, const LintOptions&
   int starved = 0;
   PassAcyclic(graph, &sink, &starved);
   PassDurationSanity(graph, &sink);
-  if (options.timing_passes) {
-    PassTimestampMonotone(graph, &sink);
-    PassIterationAnchor(graph, &sink);
-  }
-  if (options.smell_passes) {
-    PassScheduleSmell(graph, starved, &sink);
-  }
+  PassTimestampMonotone(graph, &sink);
+  PassIterationAnchor(graph, &sink);
+  PassScheduleSmell(graph, starved, &sink);
   return report;
 }
 

@@ -99,11 +99,6 @@ struct LintFinding {
 };
 
 struct LintOptions {
-  // Timing passes (timestamp-monotone, iteration-anchor) read measured start
-  // times; disable for graphs with no meaningful measured placement.
-  bool timing_passes = true;
-  // Heuristic schedule-smell warnings.
-  bool smell_passes = true;
   // Findings are capped so lint stays cheap and readable on badly broken
   // graphs; LintReport::truncated records that the cap was hit.
   int max_findings = 64;

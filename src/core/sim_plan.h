@@ -83,7 +83,7 @@ class SimPlan {
   // ShardPlan partitions the frozen arrays for parallel dispatch.
   friend class ShardPlan;
   // GraphLint's plan passes verify the frozen CSR/SoA arrays (and the
-  // test-only corruptor in src/core/graph_testing.h injects defects there).
+  // test-only corruptor in tests/graph_testing.h injects defects there).
   friend class GraphLint;
   friend class PlanCorruptor;
 
@@ -166,7 +166,7 @@ class ShardPlan {
 
  private:
   // GraphLint::LintShards verifies the partition/window invariants; the
-  // test-only ShardCorruptor (src/core/graph_testing.h) injects defects.
+  // test-only ShardCorruptor (tests/graph_testing.h) injects defects.
   friend class GraphLint;
   friend class ShardCorruptor;
 

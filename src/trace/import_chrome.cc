@@ -13,58 +13,15 @@ namespace {
 using Token = JsonStreamTokenizer::Token;
 using TokenKind = JsonStreamTokenizer::TokenKind;
 
-std::optional<EventKind> KindFromCat(const std::string& cat) {
-  for (const EventKind kind : {EventKind::kRuntimeApi, EventKind::kKernel, EventKind::kMemcpy,
-                               EventKind::kLayerMarker, EventKind::kDataLoad,
-                               EventKind::kCommunication}) {
-    if (cat == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<ApiKind> ApiFromArg(const std::string& name) {
-  for (const ApiKind kind :
-       {ApiKind::kNone, ApiKind::kLaunchKernel, ApiKind::kMemcpyAsync, ApiKind::kMemcpySync,
-        ApiKind::kDeviceSynchronize, ApiKind::kStreamSynchronize, ApiKind::kEventRecord,
-        ApiKind::kMalloc, ApiKind::kFree, ApiKind::kOther}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<MemcpyKind> CopyFromArg(const std::string& name) {
-  for (const MemcpyKind kind : {MemcpyKind::kHostToDevice, MemcpyKind::kDeviceToHost,
-                                MemcpyKind::kDeviceToDevice}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<CommKind> CommFromArg(const std::string& name) {
-  for (const CommKind kind : {CommKind::kAllReduce, CommKind::kReduceScatter, CommKind::kAllGather,
-                              CommKind::kPush, CommKind::kPull, CommKind::kP2p}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Phase> PhaseFromArg(const std::string& name) {
-  for (const Phase phase : {Phase::kUnknown, Phase::kDataLoad, Phase::kForward, Phase::kBackward,
-                            Phase::kWeightUpdate}) {
-    if (name == ToString(phase)) {
-      return phase;
-    }
-  }
-  return std::nullopt;
-}
+// The Chrome row's names for the fields CheckEvent checks.
+constexpr EventFieldNames kChromeFieldNames{.start = "ts",
+                                            .duration = "dur",
+                                            .bytes = "args.bytes",
+                                            .correlation = "args.corr",
+                                            .thread = "tid",
+                                            .stream = "args.stream",
+                                            .channel = "tid",
+                                            .layer = "args.layer"};
 
 // Everything one trace-event object can carry; filled key by key, validated
 // whole once the object closes (key order in the file does not matter).
@@ -78,12 +35,11 @@ struct RowFields {
   int64_t ts_ns = 0;
   bool has_dur = false;
   int64_t dur_ns = 0;
-  // args members
+  // args members; absent ones keep TraceEvent's defaults.
   bool has_layer = false;
-  int64_t layer = 0;
+  int layer = -1;
   bool has_phase = false;
   std::string phase;
-  bool has_corr = false;
   int64_t corr = 0;
   bool has_bytes = false;
   int64_t bytes = 0;
@@ -91,11 +47,11 @@ struct RowFields {
   std::string copy;
   std::string comm;
   bool has_stream = false;
-  int64_t stream = 0;
+  int stream = -1;
   std::string model;
   std::string config;
   bool has_bucket = false;
-  int64_t bucket = 0;
+  int bucket = -1;
 };
 
 bool IsScalar(TokenKind kind) {
@@ -215,8 +171,7 @@ class ChromeImporter {
     }
     if (key == "pid") {
       int64_t ignored = 0;
-      bool has = false;
-      return ReadInt(v, key, &ignored, &has);
+      return ReadInt(v, key, &ignored);
     }
     return true;  // unknown scalar members are ignored (foreign tools add them)
   }
@@ -226,7 +181,7 @@ class ChromeImporter {
       return ReadInt(v, key, &f->layer, &f->has_layer);
     }
     if (key == "corr") {
-      return ReadInt(v, key, &f->corr, &f->has_corr);
+      return ReadInt(v, key, &f->corr);
     }
     if (key == "bytes") {
       return ReadInt(v, key, &f->bytes, &f->has_bytes);
@@ -261,7 +216,10 @@ class ChromeImporter {
     return true;  // e.g. thread_name's args.name
   }
 
-  bool ReadInt(const Token& v, const std::string& key, int64_t* out, bool* has) {
+  // Ids and sizes must be plain integers that fit the field: an id past int
+  // range is rejected here, never narrowed.
+  template <typename T>
+  bool ReadInt(const Token& v, const std::string& key, T* out, bool* has = nullptr) {
     if (v.kind != TokenKind::kNumber) {
       return Fail("\"" + key + "\" must be a number");
     }
@@ -269,8 +227,13 @@ class ChromeImporter {
     if (!parsed.has_value()) {
       return Fail("\"" + key + "\" must be an integer (got \"" + v.text + "\")");
     }
-    *out = *parsed;
-    *has = true;
+    if (*parsed < std::numeric_limits<T>::min() || *parsed > std::numeric_limits<T>::max()) {
+      return Fail("\"" + key + "\" out of range (got \"" + v.text + "\")");
+    }
+    *out = static_cast<T>(*parsed);
+    if (has != nullptr) {
+      *has = true;
+    }
     return true;
   }
 
@@ -313,18 +276,11 @@ class ChromeImporter {
       if (!f.has_layer || !f.has_bytes || !f.has_bucket) {
         return Fail("daydream_gradient needs args layer/bytes/bucket");
       }
-      if (f.bytes < 0) {
-        return Fail("negative gradient bytes");
+      const GradientInfo g{f.layer, f.bytes, f.bucket};
+      const std::string broken = CheckGradient(g);
+      if (!broken.empty()) {
+        return Fail(broken);
       }
-      if (f.layer < std::numeric_limits<int>::min() || f.layer > std::numeric_limits<int>::max() ||
-          f.bucket < std::numeric_limits<int>::min() ||
-          f.bucket > std::numeric_limits<int>::max()) {
-        return Fail("gradient layer/bucket out of range");
-      }
-      GradientInfo g;
-      g.layer_id = static_cast<int>(f.layer);
-      g.bytes = f.bytes;
-      g.bucket_id = static_cast<int>(f.bucket);
       trace_.AddGradientInfo(g);
       ++stats_->gradients;
       return true;
@@ -334,7 +290,7 @@ class ChromeImporter {
   }
 
   bool FinishComplete(const RowFields& f) {
-    const std::optional<EventKind> kind = KindFromCat(f.cat);
+    const std::optional<EventKind> kind = FromString<EventKind>(f.cat);
     if (!kind.has_value()) {
       return Fail("unknown cat \"" + f.cat + "\"");
     }
@@ -347,44 +303,26 @@ class ChromeImporter {
     TraceEvent e;
     e.kind = *kind;
     e.name = f.name;
-    if (f.ts_ns < 0 || f.dur_ns < 0) {
-      return Fail("negative ts/dur");
-    }
     e.start = f.ts_ns;
     e.duration = f.dur_ns;
     if (!DecodeLane(f.tid, &e)) {
       return false;
     }
-    if (f.has_layer) {
-      if (f.layer < -1 || f.layer > std::numeric_limits<int>::max()) {
-        return Fail("bad args.layer");
-      }
-      e.layer_id = static_cast<int>(f.layer);
-    }
+    e.layer_id = f.layer;
     if (f.has_phase) {
-      const std::optional<Phase> phase = PhaseFromArg(f.phase);
+      const std::optional<Phase> phase = FromString<Phase>(f.phase);
       if (!phase.has_value()) {
         return Fail("unknown args.phase \"" + f.phase + "\"");
       }
       e.phase = *phase;
     }
-    if (f.has_corr) {
-      if (f.corr < 0) {
-        return Fail("negative args.corr");
-      }
-      e.correlation_id = f.corr;
-    }
-    if (f.has_bytes) {
-      if (f.bytes < 0) {
-        return Fail("negative args.bytes");
-      }
-      e.bytes = f.bytes;
-    }
+    e.correlation_id = f.corr;
+    e.bytes = f.bytes;
     if (!f.api.empty()) {
       if (e.kind != EventKind::kRuntimeApi) {
         return Fail("args.api on a non-RuntimeApi row");
       }
-      const std::optional<ApiKind> api = ApiFromArg(f.api);
+      const std::optional<ApiKind> api = FromString<ApiKind>(f.api);
       if (!api.has_value()) {
         return Fail("unknown args.api \"" + f.api + "\"");
       }
@@ -394,8 +332,8 @@ class ChromeImporter {
       if (e.kind != EventKind::kMemcpy) {
         return Fail("args.copy on a non-Memcpy row");
       }
-      const std::optional<MemcpyKind> copy = CopyFromArg(f.copy);
-      if (!copy.has_value()) {
+      const std::optional<MemcpyKind> copy = FromString<MemcpyKind>(f.copy);
+      if (copy.value_or(MemcpyKind::kNone) == MemcpyKind::kNone) {
         return Fail("unknown args.copy \"" + f.copy + "\"");
       }
       e.memcpy_kind = *copy;
@@ -404,8 +342,8 @@ class ChromeImporter {
       if (e.kind != EventKind::kCommunication) {
         return Fail("args.comm on a non-Communication row");
       }
-      const std::optional<CommKind> comm = CommFromArg(f.comm);
-      if (!comm.has_value()) {
+      const std::optional<CommKind> comm = FromString<CommKind>(f.comm);
+      if (comm.value_or(CommKind::kNone) == CommKind::kNone) {
         return Fail("unknown args.comm \"" + f.comm + "\"");
       }
       e.comm_kind = *comm;
@@ -416,14 +354,9 @@ class ChromeImporter {
       if (!e.is_cpu()) {
         return Fail("args.stream on a non-CPU row");
       }
-      if (f.stream < 0 || f.stream > std::numeric_limits<int>::max()) {
-        return Fail("bad args.stream");
-      }
-      e.stream_id = static_cast<int>(f.stream);
+      e.stream_id = f.stream;
     }
-    trace_.Add(std::move(e));
-    ++stats_->events;
-    return true;
+    return AddEvent(std::move(e));
   }
 
   bool FinishInstant(const RowFields& f) {
@@ -451,25 +384,24 @@ class ChromeImporter {
     } else {
       return Fail("instant name must end in /begin or /end");
     }
-    const std::optional<Phase> phase = PhaseFromArg(phase_name);
+    const std::optional<Phase> phase = FromString<Phase>(phase_name);
     if (!phase.has_value()) {
       return Fail("unknown marker phase \"" + phase_name + "\"");
     }
     e.phase = *phase;
-    if (f.ts_ns < 0) {
-      return Fail("negative ts");
-    }
     e.start = f.ts_ns;
-    e.duration = 0;
     if (f.tid < 0 || f.tid >= 1000) {
       return Fail("marker tid outside the CPU row band [0, 1000)");
     }
     e.thread_id = static_cast<int>(f.tid);
-    if (f.has_layer) {
-      if (f.layer < -1 || f.layer > std::numeric_limits<int>::max()) {
-        return Fail("bad args.layer");
-      }
-      e.layer_id = static_cast<int>(f.layer);
+    e.layer_id = f.layer;
+    return AddEvent(std::move(e));
+  }
+
+  bool AddEvent(TraceEvent e) {
+    const std::string broken = CheckEvent(e, kChromeFieldNames);
+    if (!broken.empty()) {
+      return Fail(broken);
     }
     trace_.Add(std::move(e));
     ++stats_->events;

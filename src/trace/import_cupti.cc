@@ -41,53 +41,23 @@ bool BoundedGetline(std::istream& in, std::string* out, bool* too_long) {
 }
 
 // CUPTI runtime records name the cbid ("cudaLaunchKernel_v7000",
-// "cudaMemcpyAsync_ptsz_v7000"); match on the base name.
+// "cudaMemcpyAsync_ptsz_v7000"); match on the base name. Any other CPU-side
+// API (and the non-API names "none"/"other") is kOther.
 ApiKind ApiFromName(const std::string& name) {
-  static const std::map<std::string, ApiKind>* kByName = new std::map<std::string, ApiKind>{
-      {"cudaLaunchKernel", ApiKind::kLaunchKernel},
-      {"cudaMemcpyAsync", ApiKind::kMemcpyAsync},
-      {"cudaMemcpy", ApiKind::kMemcpySync},
-      {"cudaDeviceSynchronize", ApiKind::kDeviceSynchronize},
-      {"cudaStreamSynchronize", ApiKind::kStreamSynchronize},
-      {"cudaEventRecord", ApiKind::kEventRecord},
-      {"cudaMalloc", ApiKind::kMalloc},
-      {"cudaFree", ApiKind::kFree},
-  };
-  const size_t cut = name.find('_');
-  const std::string base = cut == std::string::npos ? name : name.substr(0, cut);
-  const auto it = kByName->find(base);
-  return it == kByName->end() ? ApiKind::kOther : it->second;
+  const std::string_view base = std::string_view(name).substr(0, name.find('_'));
+  const ApiKind api = FromString<ApiKind>(base).value_or(ApiKind::kNone);
+  return api == ApiKind::kNone ? ApiKind::kOther : api;
 }
 
-std::optional<Phase> PhaseFromName(const std::string& name) {
-  for (const Phase phase : {Phase::kUnknown, Phase::kDataLoad, Phase::kForward, Phase::kBackward,
-                            Phase::kWeightUpdate}) {
-    if (name == ToString(phase)) {
-      return phase;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<MemcpyKind> CopyKindFromName(const std::string& name) {
-  for (const MemcpyKind kind :
-       {MemcpyKind::kHostToDevice, MemcpyKind::kDeviceToHost, MemcpyKind::kDeviceToDevice}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<CommKind> CommKindFromName(const std::string& name) {
-  for (const CommKind kind : {CommKind::kAllReduce, CommKind::kReduceScatter, CommKind::kAllGather,
-                              CommKind::kPush, CommKind::kPull, CommKind::kP2p}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
+// The CUPTI record's names for the fields CheckEvent checks.
+constexpr EventFieldNames kCuptiFieldNames{.start = "start timestamp",
+                                           .duration = "duration",
+                                           .bytes = "bytes",
+                                           .correlation = "correlationId",
+                                           .thread = "threadId",
+                                           .stream = "streamId",
+                                           .channel = "channelId",
+                                           .layer = "layer"};
 
 // Per-correlation-id matching state; indexes into Trace::mutable_events()
 // defer the unmatched-GPU repair to end-of-stream (flush order is arbitrary).
@@ -113,20 +83,15 @@ class Importer {
     }
     if (kind == "gradient") {
       GradientInfo g;
-      int64_t layer = 0;
-      int64_t bytes = 0;
-      int64_t bucket = 0;
-      if (!RequireInt(record, "layer", line, &layer, error) ||
-          !RequireInt(record, "bytes", line, &bytes, error) ||
-          !RequireInt(record, "bucket", line, &bucket, error)) {
+      if (!ReadInt(record, "layer", line, &g.layer_id, error, kRequired) ||
+          !ReadInt(record, "bytes", line, &g.bytes, error, kRequired) ||
+          !ReadInt(record, "bucket", line, &g.bucket_id, error, kRequired)) {
         return false;
       }
-      if (bytes < 0) {
-        return Fail(line, "negative gradient bytes", error);
+      const std::string broken = CheckGradient(g);
+      if (!broken.empty()) {
+        return Fail(line, broken, error);
       }
-      g.layer_id = static_cast<int>(layer);
-      g.bytes = bytes;
-      g.bucket_id = static_cast<int>(bucket);
       trace_.AddGradientInfo(g);
       return true;
     }
@@ -134,31 +99,28 @@ class Importer {
     // Event records. All carry start (ns); all but markers carry end (ns).
     TraceEvent e;
     e.name = record.GetString("name");
-    int64_t start = 0;
-    if (!RequireInt(record, "start", line, &start, error)) {
+    if (!ReadInt(record, "start", line, &e.start, error, kRequired)) {
       return false;
     }
-    if (start < 0) {
+    if (e.start < 0) {  // before end - start below can overflow
       return Fail(line, "negative start timestamp", error);
     }
-    e.start = start;
     const bool is_marker = kind == "marker";
     if (is_marker) {
       // Markers are instantaneous instrumentation stamps; "end" is optional
       // and must equal start when present.
-      e.duration = 0;
-      if (record.Has("end") && record.GetInt64("end", -1) != start) {
+      if (record.Has("end") && record.GetInt64("end", -1) != e.start) {
         return Fail(line, "marker with end != start", error);
       }
     } else {
       int64_t end = 0;
-      if (!RequireInt(record, "end", line, &end, error)) {
+      if (!ReadInt(record, "end", line, &end, error, kRequired)) {
         return false;
       }
-      if (end < start) {
+      if (end < e.start) {
         return Fail(line, "end precedes start", error);
       }
-      e.duration = end - start;
+      e.duration = end - e.start;
     }
 
     // Single-process streams only: a second processId is a different capture.
@@ -174,69 +136,47 @@ class Importer {
       }
     }
 
+    // Lane ids are read where present; CheckEvent below rejects a record
+    // whose kind's lane is missing.
     if (kind == "runtime" || kind == "driver") {
       e.kind = EventKind::kRuntimeApi;
       e.api = ApiFromName(e.name);
-      if (!RequireId(record, "threadId", line, &e.thread_id, error) ||
-          !ReadCorrelation(record, line, &e, error) ||
-          !ReadOptionalLayer(record, line, &e, error)) {
-        return false;
-      }
       // cudaStreamSynchronize targets a stream; the optional streamId names it.
-      if (record.Has("streamId") && !RequireId(record, "streamId", line, &e.stream_id, error)) {
+      if (!ReadInt(record, "threadId", line, &e.thread_id, error) ||
+          !ReadInt(record, "streamId", line, &e.stream_id, error) ||
+          !ReadInt(record, "correlationId", line, &e.correlation_id, error) ||
+          !ReadAttribution(record, line, &e, error)) {
         return false;
-      }
-      if (e.correlation_id != 0 &&
-          (e.api == ApiKind::kLaunchKernel || e.api == ApiKind::kMemcpyAsync ||
-           e.api == ApiKind::kMemcpySync)) {
-        CorrState& state = corr_[e.correlation_id];
-        if (state.launch_seen) {
-          ++stats_->duplicate_launch;
-          e.correlation_id = 0;
-        } else {
-          state.launch_seen = true;
-        }
       }
     } else if (kind == "kernel" || kind == "concurrent_kernel" || kind == "memcpy") {
       e.kind = kind == "memcpy" ? EventKind::kMemcpy : EventKind::kKernel;
-      if (!RequireId(record, "streamId", line, &e.stream_id, error) ||
-          !ReadCorrelation(record, line, &e, error) ||
-          !ReadOptionalLayer(record, line, &e, error)) {
+      if (!ReadInt(record, "streamId", line, &e.stream_id, error) ||
+          !ReadInt(record, "correlationId", line, &e.correlation_id, error) ||
+          !ReadAttribution(record, line, &e, error)) {
         return false;
       }
       if (e.kind == EventKind::kMemcpy) {
-        const std::optional<MemcpyKind> copy = CopyKindFromName(record.GetString("copyKind"));
-        if (!copy.has_value()) {
+        const std::optional<MemcpyKind> copy = FromString<MemcpyKind>(record.GetString("copyKind"));
+        if (copy.value_or(MemcpyKind::kNone) == MemcpyKind::kNone) {
           return Fail(line, "memcpy needs copyKind HtoD|DtoH|DtoD", error);
         }
         e.memcpy_kind = *copy;
-        if (!ReadOptionalBytes(record, line, &e, error)) {
+        if (!ReadInt(record, "bytes", line, &e.bytes, error)) {
           return false;
-        }
-      }
-      if (e.correlation_id != 0) {
-        CorrState& state = corr_[e.correlation_id];
-        if (state.gpu_seen) {
-          ++stats_->duplicate_gpu;
-          e.correlation_id = 0;
-        } else {
-          state.gpu_seen = true;
         }
       }
     } else if (is_marker) {
       e.kind = EventKind::kLayerMarker;
-      int64_t layer = 0;
-      if (!RequireId(record, "threadId", line, &e.thread_id, error) ||
-          !RequireInt(record, "layer", line, &layer, error)) {
+      if (!ReadInt(record, "threadId", line, &e.thread_id, error) ||
+          !ReadInt(record, "layer", line, &e.layer_id, error, kRequired)) {
         return false;
       }
-      e.layer_id = static_cast<int>(layer);
       const JsonValue* begin = record.Find("begin");
       if (begin == nullptr || begin->kind != JsonValue::Kind::kBool) {
         return Fail(line, "marker needs a boolean \"begin\" field", error);
       }
       e.marker_begin = begin->boolean;
-      const std::optional<Phase> phase = PhaseFromName(record.GetString("phase"));
+      const std::optional<Phase> phase = FromString<Phase>(record.GetString("phase"));
       if (!phase.has_value()) {
         return Fail(line, "marker needs phase dataload|forward|backward|weight_update", error);
       }
@@ -244,25 +184,40 @@ class Importer {
     } else if (kind == "dataload") {
       e.kind = EventKind::kDataLoad;
       e.phase = Phase::kDataLoad;
-      if (!RequireId(record, "threadId", line, &e.thread_id, error)) {
+      if (!ReadInt(record, "threadId", line, &e.thread_id, error)) {
         return false;
       }
     } else if (kind == "comm") {
       e.kind = EventKind::kCommunication;
-      const std::optional<CommKind> comm = CommKindFromName(record.GetString("commKind"));
-      if (!comm.has_value()) {
+      const std::optional<CommKind> comm = FromString<CommKind>(record.GetString("commKind"));
+      if (comm.value_or(CommKind::kNone) == CommKind::kNone) {
         return Fail(line, "comm needs commKind allReduce|reduceScatter|allGather|push|pull|p2p",
                     error);
       }
       e.comm_kind = *comm;
-      if (!RequireId(record, "channelId", line, &e.channel_id, error) ||
-          !ReadOptionalBytes(record, line, &e, error) || !ReadOptionalLayer(record, line, &e, error)) {
+      if (!ReadInt(record, "channelId", line, &e.channel_id, error) ||
+          !ReadInt(record, "bytes", line, &e.bytes, error) ||
+          !ReadAttribution(record, line, &e, error)) {
         return false;
       }
     } else {
       return Fail(line, "unknown record kind '" + kind + "'", error);
     }
+    const std::string broken = CheckEvent(e, kCuptiFieldNames);
+    if (!broken.empty()) {
+      return Fail(line, broken, error);
+    }
 
+    if (e.correlation_id != 0 && (e.is_gpu() || IsLaunch(e.api))) {
+      CorrState& state = corr_[e.correlation_id];
+      bool& seen = e.is_gpu() ? state.gpu_seen : state.launch_seen;
+      if (seen) {
+        ++(e.is_gpu() ? stats_->duplicate_gpu : stats_->duplicate_launch);
+        e.correlation_id = 0;
+      } else {
+        seen = true;
+      }
+    }
     ++stats_->events;
     trace_.Add(std::move(e));
     return true;
@@ -289,6 +244,13 @@ class Importer {
   }
 
  private:
+  static constexpr bool kRequired = true;
+
+  static bool IsLaunch(ApiKind api) {
+    return api == ApiKind::kLaunchKernel || api == ApiKind::kMemcpyAsync ||
+           api == ApiKind::kMemcpySync;
+  }
+
   static bool Fail(uint64_t line, const std::string& message, std::string* error) {
     if (error != nullptr) {
       *error = StrFormat("line %llu: %s", static_cast<unsigned long long>(line), message.c_str());
@@ -296,77 +258,37 @@ class Importer {
     return false;
   }
 
-  static bool RequireInt(const JsonObject& record, const char* key, uint64_t line, int64_t* out,
-                         std::string* error) {
+  // Reads an integer field into *out, which an absent optional field leaves
+  // as is. The token must be a plain integer that fits T: an id past int
+  // range is rejected here, never narrowed.
+  template <typename T>
+  static bool ReadInt(const JsonObject& record, const char* key, uint64_t line, T* out,
+                      std::string* error, bool required = false) {
     const JsonValue* value = record.Find(key);
+    if (value == nullptr && !required) {
+      return true;
+    }
     const std::optional<int64_t> parsed =
         value != nullptr ? value->AsInt64() : std::optional<int64_t>();
     if (!parsed.has_value()) {
       return Fail(line, std::string("record needs an integer \"") + key + "\" field", error);
     }
-    *out = *parsed;
-    return true;
-  }
-
-  // Lane ids must be non-negative (same guard as .ddtrace ingestion).
-  static bool RequireId(const JsonObject& record, const char* key, uint64_t line, int* out,
-                        std::string* error) {
-    int64_t value = 0;
-    if (!RequireInt(record, key, line, &value, error)) {
-      return false;
+    if (*parsed < std::numeric_limits<T>::min() || *parsed > std::numeric_limits<T>::max()) {
+      return Fail(line, std::string("\"") + key + "\" out of range", error);
     }
-    if (value < 0 || value > std::numeric_limits<int>::max()) {
-      return Fail(line, std::string("bad \"") + key + "\" (expected a non-negative id)", error);
-    }
-    *out = static_cast<int>(value);
-    return true;
-  }
-
-  bool ReadCorrelation(const JsonObject& record, uint64_t line, TraceEvent* e,
-                       std::string* error) {
-    if (!record.Has("correlationId")) {
-      return true;
-    }
-    int64_t corr = 0;
-    if (!RequireInt(record, "correlationId", line, &corr, error)) {
-      return false;
-    }
-    if (corr < 0) {
-      return Fail(line, "negative correlationId", error);
-    }
-    e->correlation_id = corr;
-    return true;
-  }
-
-  bool ReadOptionalBytes(const JsonObject& record, uint64_t line, TraceEvent* e,
-                         std::string* error) {
-    if (!record.Has("bytes")) {
-      return true;
-    }
-    int64_t bytes = 0;
-    if (!RequireInt(record, "bytes", line, &bytes, error)) {
-      return false;
-    }
-    if (bytes < 0) {
-      return Fail(line, "negative bytes", error);
-    }
-    e->bytes = bytes;
+    *out = static_cast<T>(*parsed);
     return true;
   }
 
   // Optional layer/phase attribution (the paper's framework instrumentation
   // stamps them; raw CUPTI streams lack them and rely on markers instead).
-  bool ReadOptionalLayer(const JsonObject& record, uint64_t line, TraceEvent* e,
-                         std::string* error) {
-    if (record.Has("layer")) {
-      int64_t layer = 0;
-      if (!RequireInt(record, "layer", line, &layer, error)) {
-        return false;
-      }
-      e->layer_id = static_cast<int>(layer);
+  static bool ReadAttribution(const JsonObject& record, uint64_t line, TraceEvent* e,
+                              std::string* error) {
+    if (!ReadInt(record, "layer", line, &e->layer_id, error)) {
+      return false;
     }
     if (record.Has("phase")) {
-      const std::optional<Phase> phase = PhaseFromName(record.GetString("phase"));
+      const std::optional<Phase> phase = FromString<Phase>(record.GetString("phase"));
       if (!phase.has_value()) {
         return Fail(line, "bad phase", error);
       }

@@ -24,6 +24,16 @@ std::string TraceValidation::Summary() const {
   return out;
 }
 
+std::string CheckGradient(const GradientInfo& g) {
+  if (g.bytes < 0) {
+    return "negative gradient bytes";
+  }
+  if (g.layer_id < -1 || g.bucket_id < -1) {
+    return "gradient layer/bucket out of range";
+  }
+  return "";
+}
+
 void Trace::SortByStart() {
   std::stable_sort(events_.begin(), events_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.start < b.start; });
@@ -162,14 +172,9 @@ TraceValidation Trace::Validate() const {
   auto* v = &result.violations;
 
   for (const TraceEvent& e : events_) {
-    if (e.duration < 0) {
-      v->push_back(StrFormat("negative duration: %s", e.DebugString().c_str()));
-    }
-    if (e.is_cpu() && e.thread_id < 0) {
-      v->push_back(StrFormat("cpu event without thread id: %s", e.DebugString().c_str()));
-    }
-    if (e.is_gpu() && e.stream_id < 0) {
-      v->push_back(StrFormat("gpu event without stream id: %s", e.DebugString().c_str()));
+    const std::string broken = CheckEvent(e);
+    if (!broken.empty()) {
+      v->push_back(StrFormat("%s: %s", broken.c_str(), e.DebugString().c_str()));
     }
   }
 

@@ -35,6 +35,11 @@ struct GradientInfo {
   int bucket_id = -1;     // PyTorch DDP gradient bucket this layer maps to
 };
 
+// CheckEvent's counterpart for the gradient side channel: bytes are
+// non-negative and the layer and bucket ids are >= -1. Returns "" when the
+// record holds, else the reason.
+std::string CheckGradient(const GradientInfo& g);
+
 // Result of Trace::Validate(). ok() iff no violations were recorded.
 struct TraceValidation {
   std::vector<std::string> violations;
@@ -84,12 +89,12 @@ class Trace {
   std::vector<LayerSpan> ExtractLayerSpans() const;
 
   // Structural validation:
+  //  - every event holds the event contract (CheckEvent),
   //  - events in the same CPU thread do not overlap in time,
   //  - events in the same GPU stream do not overlap in time,
   //  - correlation ids pair exactly one launch API with one GPU task,
   //  - every GPU task has a launching API that *precedes* it,
-  //  - layer markers pair begin/end correctly,
-  //  - durations are non-negative.
+  //  - layer markers pair begin/end correctly.
   TraceValidation Validate() const;
 
  private:

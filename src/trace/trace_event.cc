@@ -98,6 +98,41 @@ const char* ToString(Phase phase) {
   return "?";
 }
 
+std::string CheckEvent(const TraceEvent& e, const EventFieldNames& names) {
+  const auto negative = [](const char* field) { return std::string("negative ") + field; };
+  const auto bad = [](const char* field) { return std::string("bad ") + field; };
+  // Negative times or sizes break simulator invariants (progress and
+  // earliest-start bounds must be monotone).
+  if (e.start < 0) {
+    return negative(names.start);
+  }
+  if (e.duration < 0) {
+    return negative(names.duration);
+  }
+  if (e.bytes < 0) {
+    return negative(names.bytes);
+  }
+  if (e.correlation_id < 0) {
+    return negative(names.correlation);
+  }
+  // -1 is the "unset" lane sentinel; anything below is corrupt. A value like
+  // stream_id=-500 would alias the Chrome export's row bands (1000+/2000+)
+  // and break the graph builder's lane assignment.
+  if (e.thread_id < -1 || (e.is_cpu() && e.thread_id < 0)) {
+    return bad(names.thread);
+  }
+  if (e.stream_id < -1 || (e.is_gpu() && e.stream_id < 0)) {
+    return bad(names.stream);
+  }
+  if (e.channel_id < -1 || (e.is_comm() && e.channel_id < 0)) {
+    return bad(names.channel);
+  }
+  if (e.layer_id < -1) {
+    return bad(names.layer);
+  }
+  return "";
+}
+
 std::string TraceEvent::DebugString() const {
   return StrFormat("[%s %s start=%.3fus dur=%.3fus tid=%d stream=%d chan=%d corr=%lld layer=%d %s]",
                    ToString(kind), name.c_str(), ToUs(start), ToUs(duration), thread_id,

@@ -13,7 +13,9 @@
 #define SRC_TRACE_TRACE_EVENT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/util/time_units.h"
 
@@ -73,6 +75,26 @@ const char* ToString(MemcpyKind kind);
 const char* ToString(CommKind kind);
 const char* ToString(Phase phase);
 
+// Each enum's last enumerator: the bound every decoder range-checks against,
+// so a foreign or corrupt value never becomes an enumerator no switch handles.
+constexpr EventKind LastEnumerator(EventKind) { return EventKind::kCommunication; }
+constexpr ApiKind LastEnumerator(ApiKind) { return ApiKind::kOther; }
+constexpr MemcpyKind LastEnumerator(MemcpyKind) { return MemcpyKind::kDeviceToDevice; }
+constexpr CommKind LastEnumerator(CommKind) { return CommKind::kP2p; }
+constexpr Phase LastEnumerator(Phase) { return Phase::kWeightUpdate; }
+
+// The inverse of ToString, over the same names: the one name table every
+// trace reader decodes with. Returns nullopt for a name no enumerator has.
+template <typename E>
+std::optional<E> FromString(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(LastEnumerator(E{})); ++i) {
+    if (name == ToString(static_cast<E>(i))) {
+      return static_cast<E>(i);
+    }
+  }
+  return std::nullopt;
+}
+
 // One trace record. Which fields are meaningful depends on `kind`; unused
 // fields keep their defaults. Sizes are bytes; times are TimeNs.
 struct TraceEvent {
@@ -114,6 +136,28 @@ struct TraceEvent {
 
   std::string DebugString() const;
 };
+
+// How one reader names the fields CheckEvent checks, so its diagnostics
+// speak the reader's format ("correlationId", "args.corr"). The defaults
+// are TraceEvent's own member names.
+struct EventFieldNames {
+  const char* start = "start";
+  const char* duration = "duration";
+  const char* bytes = "bytes";
+  const char* correlation = "correlation_id";
+  const char* thread = "thread_id";
+  const char* stream = "stream_id";
+  const char* channel = "channel_id";
+  const char* layer = "layer_id";
+};
+
+// The event contract every trace reader enforces after decoding, and that
+// Trace::Validate checks per event: start, duration, bytes and correlation
+// id are non-negative; lane ids and the layer are >= -1 (-1 = unset); the
+// lane the event's kind runs on (CPU thread, GPU stream, comm channel) is
+// set. Returns "" when the event holds, else "negative <field>" or
+// "bad <field>" for the first field that breaks the contract.
+std::string CheckEvent(const TraceEvent& e, const EventFieldNames& names = {});
 
 }  // namespace daydream
 

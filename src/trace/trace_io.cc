@@ -39,11 +39,11 @@ void WriteEvent(const TraceEvent& e, std::ostream& os) {
 
 // Range-checked enum decode: an out-of-range integer (corrupt or
 // foreign-version file) must reject the record, not produce an enum value no
-// switch in the pipeline handles. `last` is the enum's maximum enumerator.
+// switch in the pipeline handles.
 template <typename E>
-std::optional<E> ParseEnum(const std::string& field, E last) {
+std::optional<E> ParseEnum(const std::string& field) {
   const std::optional<int> value = ParseInt32(field);
-  if (!value.has_value() || *value < 0 || *value > static_cast<int>(last)) {
+  if (!value.has_value() || *value < 0 || *value > static_cast<int>(LastEnumerator(E{}))) {
     return std::nullopt;
   }
   return static_cast<E>(value.value());
@@ -55,11 +55,11 @@ std::optional<TraceEvent> ParseEvent(const std::vector<std::string>& f) {
     return std::nullopt;
   }
   TraceEvent e;
-  const auto kind = ParseEnum(f[1], EventKind::kCommunication);
-  const auto api = ParseEnum(f[2], ApiKind::kOther);
-  const auto memcpy_kind = ParseEnum(f[3], MemcpyKind::kDeviceToDevice);
-  const auto comm_kind = ParseEnum(f[4], CommKind::kP2p);
-  const auto phase = ParseEnum(f[12], Phase::kWeightUpdate);
+  const auto kind = ParseEnum<EventKind>(f[1]);
+  const auto api = ParseEnum<ApiKind>(f[2]);
+  const auto memcpy_kind = ParseEnum<MemcpyKind>(f[3]);
+  const auto comm_kind = ParseEnum<CommKind>(f[4]);
+  const auto phase = ParseEnum<Phase>(f[12]);
   if (!kind || !api || !memcpy_kind || !comm_kind || !phase) {
     return std::nullopt;
   }
@@ -94,20 +94,7 @@ std::optional<TraceEvent> ParseEvent(const std::vector<std::string>& f) {
   e.marker_begin = *marker_begin != 0;
   e.bytes = *bytes;
   e.name = f[15];
-  // Negative times or payload sizes violate simulator invariants (progress
-  // and earliest-start bounds must be monotone): reject the record.
-  if (e.start < 0 || e.duration < 0 || e.bytes < 0) {
-    return std::nullopt;
-  }
-  // Location ids: -1 is the "unset" sentinel; anything below is corrupt, and
-  // the lane the event's kind actually runs on must be set. Values like
-  // stream_id=-500 would otherwise alias the Chrome-export row bands
-  // (RowTid's 1000+/2000+ offsets) and break graph-builder lane assignment.
-  if (e.thread_id < -1 || e.stream_id < -1 || e.channel_id < -1) {
-    return std::nullopt;
-  }
-  if ((e.is_cpu() && e.thread_id < 0) || (e.is_gpu() && e.stream_id < 0) ||
-      (e.is_comm() && e.channel_id < 0)) {
+  if (!CheckEvent(e).empty()) {
     return std::nullopt;
   }
   return e;
@@ -168,13 +155,13 @@ std::optional<Trace> ReadTrace(std::istream& is) {
       const auto layer_id = ParseInt32(f[1]);
       const auto bytes = ParseInt64(f[2]);
       const auto bucket_id = ParseInt32(f[3]);
-      if (!layer_id || !bytes || !bucket_id || *bytes < 0) {
-        return std::nullopt;  // malformed or negative gradient size
+      if (!layer_id || !bytes || !bucket_id) {
+        return std::nullopt;
       }
-      GradientInfo g;
-      g.layer_id = *layer_id;
-      g.bytes = *bytes;
-      g.bucket_id = *bucket_id;
+      const GradientInfo g{*layer_id, *bytes, *bucket_id};
+      if (!CheckGradient(g).empty()) {
+        return std::nullopt;
+      }
       trace.AddGradientInfo(g);
     } else if (f[0] == "ev") {
       std::optional<TraceEvent> e = ParseEvent(f);

@@ -1,9 +1,8 @@
 #include "src/util/json.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/util/string_util.h"
 
@@ -49,42 +48,198 @@ int64_t JsonObject::GetInt64(const std::string& key, int64_t fallback) const {
 
 namespace {
 
-// Recursive-descent over the flat subset; `pos` always points at the next
-// unconsumed byte. Errors set *error once (first failure wins).
+bool LexFail(std::string* error, std::string message) {
+  *error = std::move(message);
+  return false;
+}
+
+bool IsDigit(int c) { return c >= '0' && c <= '9'; }
+
+int HexDigit(int c) {
+  if (IsDigit(c)) {
+    return c - '0';
+  }
+  if (c >= 'a' && c <= 'f') {
+    return c - 'a' + 10;
+  }
+  if (c >= 'A' && c <= 'F') {
+    return c - 'A' + 10;
+  }
+  return -1;
+}
+
+// Encodes a BMP code point (surrogates pass through as-is: the protocol
+// never carries them, and replacing them would silently corrupt an echo).
+void AppendUtf8(std::string* out, unsigned code) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
+template <typename Source>
+bool LexNumber(Source& in, int first, size_t max_bytes, JsonValue* value, std::string* error) {
+  std::string& raw = value->raw;
+  raw.assign(1, static_cast<char>(first));
+  for (int c = in.Peek(); IsDigit(c) || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E';
+       c = in.Peek()) {
+    if (raw.size() >= max_bytes) {
+      return LexFail(error, "number exceeds the size limit");
+    }
+    raw.push_back(static_cast<char>(in.Get()));
+  }
+  char* end = nullptr;
+  const double parsed = std::strtod(raw.c_str(), &end);
+  if (end != raw.c_str() + raw.size() || !std::isfinite(parsed)) {
+    return LexFail(error, "invalid number '" + raw + "'");
+  }
+  value->kind = JsonValue::Kind::kNumber;
+  value->number = parsed;
+  return true;
+}
+
+// The rest of a literal whose first byte was consumed.
+template <typename Source>
+bool LexWord(Source& in, std::string_view rest, std::string* error) {
+  for (const char c : rest) {
+    if (in.Get() != c) {
+      return LexFail(error, "expected a value");
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+template <typename Source>
+bool LexJsonString(Source& in, size_t max_bytes, std::string* out, std::string* error) {
+  out->clear();
+  while (true) {
+    const int c = in.Get();
+    if (c == '"') {
+      return true;
+    }
+    if (c < 0) {
+      return LexFail(error, "unterminated string");
+    }
+    if (c < 0x20) {
+      return LexFail(error, "unescaped control character in string");
+    }
+    if (out->size() >= max_bytes) {
+      return LexFail(error, "string exceeds the size limit");
+    }
+    if (c != '\\') {
+      out->push_back(static_cast<char>(c));
+      continue;
+    }
+    const int esc = in.Get();
+    switch (esc) {
+      case '"':
+      case '\\':
+      case '/': out->push_back(static_cast<char>(esc)); break;
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const int h = in.Get();
+          const int digit = HexDigit(h);
+          if (digit < 0) {
+            return LexFail(error, h < 0 ? "truncated \\u escape" : "invalid \\u escape");
+          }
+          code = code << 4 | static_cast<unsigned>(digit);
+        }
+        AppendUtf8(out, code);
+        break;
+      }
+      case -1:
+        return LexFail(error, "truncated escape sequence");
+      default:
+        return LexFail(error, std::string("invalid escape '\\") + static_cast<char>(esc) + "'");
+    }
+  }
+}
+
+template <typename Source>
+bool LexJsonScalar(Source& in, int first, size_t max_string_bytes, size_t max_number_bytes,
+                   JsonValue* value, std::string* error) {
+  switch (first) {
+    case '"':
+      value->kind = JsonValue::Kind::kString;
+      return LexJsonString(in, max_string_bytes, &value->string, error);
+    case 't':
+    case 'f':
+      value->kind = JsonValue::Kind::kBool;
+      value->boolean = first == 't';
+      return LexWord(in, value->boolean ? "rue" : "alse", error);
+    case 'n':
+      value->kind = JsonValue::Kind::kNull;
+      return LexWord(in, "ull", error);
+    default:
+      if (first == '-' || IsDigit(first)) {
+        return LexNumber(in, first, max_number_bytes, value, error);
+      }
+      return LexFail(error, "expected a value");
+  }
+}
+
+template bool LexJsonString(JsonTextSource&, size_t, std::string*, std::string*);
+template bool LexJsonString(JsonStreamSource&, size_t, std::string*, std::string*);
+template bool LexJsonScalar(JsonTextSource&, int, size_t, size_t, JsonValue*, std::string*);
+template bool LexJsonScalar(JsonStreamSource&, int, size_t, size_t, JsonValue*, std::string*);
+
+namespace {
+
+constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
+
+// Recursive-descent over the flat subset. Errors set *error once (first
+// failure wins).
 class Parser {
  public:
-  Parser(std::string_view text, std::string* error) : text_(text), error_(error) {}
+  Parser(std::string_view text, std::string* error) : in_{text}, error_(error) {}
 
   std::optional<JsonObject> ParseObject() {
-    SkipSpace();
+    SkipJsonSpace(in_);
     if (!Consume('{')) {
       return Fail("expected '{'");
     }
     JsonObject object;
-    SkipSpace();
+    SkipJsonSpace(in_);
     if (Consume('}')) {
       return FinishAt(object);
     }
     while (true) {
-      SkipSpace();
+      SkipJsonSpace(in_);
+      if (!Consume('"')) {
+        return Fail("expected '\"'");
+      }
       std::string key;
-      if (!ParseString(&key)) {
-        return Fail("expected a string key");
+      if (!LexJsonString(in_, kNoLimit, &key, error_)) {
+        return std::nullopt;
       }
       if (object.Has(key)) {
         return Fail("duplicate key '" + key + "'");
       }
-      SkipSpace();
+      SkipJsonSpace(in_);
       if (!Consume(':')) {
         return Fail("expected ':' after key '" + key + "'");
       }
-      SkipSpace();
+      SkipJsonSpace(in_);
       JsonValue value;
       if (!ParseValue(&value)) {
         return std::nullopt;
       }
       object.Set(std::move(key), std::move(value));
-      SkipSpace();
+      SkipJsonSpace(in_);
       if (Consume(',')) {
         continue;
       }
@@ -97,205 +252,43 @@ class Parser {
 
  private:
   std::optional<JsonObject> FinishAt(JsonObject& object) {
-    SkipSpace();
-    if (pos_ != text_.size()) {
+    SkipJsonSpace(in_);
+    if (in_.Peek() >= 0) {
       return Fail("trailing characters after the object");
     }
     return std::move(object);
   }
 
   std::optional<JsonObject> Fail(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
+    if (error_->empty()) {
       *error_ = message;
     }
     return std::nullopt;
   }
 
-  bool FailValue(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = message;
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
   bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+    if (in_.Peek() != c) {
+      return false;
     }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
+    in_.Get();
+    return true;
   }
 
   bool ParseValue(JsonValue* value) {
-    if (pos_ >= text_.size()) {
-      return FailValue("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    if (c == '"') {
-      value->kind = JsonValue::Kind::kString;
-      return ParseString(&value->string);
+    const int c = in_.Get();
+    if (c < 0) {
+      Fail("unexpected end of input");
+      return false;
     }
     if (c == '{' || c == '[') {
-      return FailValue("nested containers are not part of the flat request protocol");
+      Fail("nested containers are not part of the flat request protocol");
+      return false;
     }
-    if (ConsumeWord("true")) {
-      value->kind = JsonValue::Kind::kBool;
-      value->boolean = true;
-      return true;
-    }
-    if (ConsumeWord("false")) {
-      value->kind = JsonValue::Kind::kBool;
-      value->boolean = false;
-      return true;
-    }
-    if (ConsumeWord("null")) {
-      value->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return ParseNumber(value);
+    return LexJsonScalar(in_, c, kNoLimit, kNoLimit, value, error_);
   }
 
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return FailValue("expected '\"'");
-    }
-    out->clear();
-    while (true) {
-      if (pos_ >= text_.size()) {
-        return FailValue("unterminated string");
-      }
-      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
-      if (c == '"') {
-        return true;
-      }
-      if (c < 0x20) {
-        return FailValue("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return FailValue("truncated escape sequence");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          unsigned code = 0;
-          if (!ParseHex4(&code)) {
-            return false;
-          }
-          AppendUtf8(out, code);
-          break;
-        }
-        default:
-          return FailValue(std::string("invalid escape '\\") + esc + "'");
-      }
-    }
-  }
-
-  bool ParseHex4(unsigned* code) {
-    if (pos_ + 4 > text_.size()) {
-      return FailValue("truncated \\u escape");
-    }
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + static_cast<size_t>(i)];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        return FailValue("invalid \\u escape");
-      }
-    }
-    pos_ += 4;
-    *code = value;
-    return true;
-  }
-
-  // Encodes a BMP code point (surrogates pass through as-is: the protocol
-  // never carries them, and replacing them would silently corrupt an echo).
-  static void AppendUtf8(std::string* out, unsigned code) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  bool ParseNumber(JsonValue* value) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (Consume('.')) {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-") {
-      return FailValue("expected a value");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end != token.c_str() + token.size() || !std::isfinite(parsed)) {
-      return FailValue("invalid number '" + token + "'");
-    }
-    value->kind = JsonValue::Kind::kNumber;
-    value->number = parsed;
-    value->raw = token;
-    return true;
-  }
-
-  std::string_view text_;
+  JsonTextSource in_;
   std::string* error_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

@@ -1,9 +1,6 @@
 #include "src/util/json_stream.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <limits>
 
 namespace daydream {
@@ -11,35 +8,7 @@ namespace daydream {
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in) : JsonStreamTokenizer(in, Limits()) {}
 
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in, Limits limits)
-    : in_(in), limits_(limits) {}
-
-int JsonStreamTokenizer::GetChar() {
-  const int c = in_.rdbuf() != nullptr ? in_.rdbuf()->sbumpc() : -1;
-  if (c == std::char_traits<char>::eof()) {
-    return -1;
-  }
-  ++offset_;
-  return c;
-}
-
-int JsonStreamTokenizer::PeekChar() {
-  const int c = in_.rdbuf() != nullptr ? in_.rdbuf()->sgetc() : -1;
-  return c == std::char_traits<char>::eof() ? -1 : c;
-}
-
-void JsonStreamTokenizer::SkipSpace() {
-  int c;
-  while ((c = PeekChar()) == ' ' || c == '\t' || c == '\n' || c == '\r') {
-    GetChar();
-  }
-}
-
-void JsonStreamTokenizer::NoteBuffered(size_t bytes) {
-  const size_t total = bytes + stack_.size();
-  if (total > max_buffered_) {
-    max_buffered_ = total;
-  }
-}
+    : in_{in.rdbuf()}, limits_(limits) {}
 
 const JsonStreamTokenizer::Token& JsonStreamTokenizer::Fail(const std::string& message) {
   token_.kind = TokenKind::kError;
@@ -48,156 +17,42 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Fail(const std::string& m
   return token_;
 }
 
-const JsonStreamTokenizer::Token& JsonStreamTokenizer::Emit(TokenKind kind, std::string text,
-                                                            bool boolean) {
-  NoteBuffered(text.size());
+const JsonStreamTokenizer::Token& JsonStreamTokenizer::Emit(TokenKind kind, bool boolean) {
+  max_buffered_ = std::max(max_buffered_, token_.text.size() + stack_.size());
   token_.kind = kind;
-  token_.text = std::move(text);
   token_.boolean = boolean;
   return token_;
 }
 
-// Decodes the remainder of a string after the opening '"'. Same escape rules
-// as the flat parser (src/util/json.cc); decoded size capped by the limits.
-bool JsonStreamTokenizer::LexString(std::string* out) {
-  out->clear();
-  while (true) {
-    const int raw = GetChar();
-    if (raw < 0) {
-      Fail("unterminated string");
-      return false;
-    }
-    const unsigned char c = static_cast<unsigned char>(raw);
-    if (c == '"') {
-      NoteBuffered(out->size());
-      return true;
-    }
-    if (c < 0x20) {
-      Fail("unescaped control character in string");
-      return false;
-    }
-    if (out->size() >= limits_.max_string_bytes) {
-      Fail("string exceeds the size limit");
-      return false;
-    }
-    if (c != '\\') {
-      out->push_back(static_cast<char>(c));
-      continue;
-    }
-    const int esc = GetChar();
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const int h = GetChar();
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            Fail(h < 0 ? "truncated \\u escape" : "invalid \\u escape");
-            return false;
-          }
-        }
-        // BMP-only UTF-8 encode, matching the flat parser: surrogate halves
-        // pass through as-is rather than corrupting the text.
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        break;
-      }
-      default:
-        Fail(esc < 0 ? "truncated escape sequence"
-                     : std::string("invalid escape '\\") + static_cast<char>(esc) + "'");
-        return false;
-    }
-  }
-}
-
-bool JsonStreamTokenizer::LexNumber(std::string* out, int first) {
-  out->clear();
-  out->push_back(static_cast<char>(first));
-  int c;
-  while ((c = PeekChar()) >= 0 &&
-         (std::isdigit(c) || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')) {
-    if (out->size() >= limits_.max_number_bytes) {
-      Fail("number exceeds the size limit");
-      return false;
-    }
-    out->push_back(static_cast<char>(GetChar()));
-  }
-  // Lexing is permissive; strtod over the whole token is the validator,
-  // exactly as in the flat parser.
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(out->c_str(), &end);
-  if (end != out->c_str() + out->size() || !std::isfinite(parsed)) {
-    Fail("invalid number '" + *out + "'");
-    return false;
-  }
-  return true;
-}
-
-bool JsonStreamTokenizer::LexWord(std::string_view word, int first) {
-  if (first != word[0]) {
-    Fail("expected a value");
-    return false;
-  }
-  for (size_t i = 1; i < word.size(); ++i) {
-    if (GetChar() != word[i]) {
-      Fail("invalid literal");
-      return false;
-    }
-  }
-  return true;
-}
-
 // Reads `"key":` and emits the kKey token. The caller consumed the quote.
 const JsonStreamTokenizer::Token& JsonStreamTokenizer::EmitKey() {
-  std::string key;
-  if (!LexString(&key)) {
-    return token_;
+  std::string error;
+  if (!LexJsonString(in_, limits_.max_string_bytes, &token_.text, &error)) {
+    return Fail(error);
   }
-  SkipSpace();
-  if (GetChar() != ':') {
-    return Fail("expected ':' after key '" + key + "'");
+  SkipJsonSpace(in_);
+  if (in_.Get() != ':') {
+    return Fail("expected ':' after key '" + token_.text + "'");
   }
   state_ = State::kValueStart;
-  return Emit(TokenKind::kKey, std::move(key));
+  return Emit(TokenKind::kKey);
 }
 
 const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
   if (token_.kind == TokenKind::kError) {
     return token_;  // sticky
   }
+  token_.text.clear();
   switch (state_) {
     case State::kAfterValue: {
-      SkipSpace();
+      SkipJsonSpace(in_);
       if (stack_.empty()) {
-        if (PeekChar() >= 0) {
+        if (in_.Peek() >= 0) {
           return Fail("trailing characters after the document");
         }
         return Emit(TokenKind::kEnd);
       }
-      const int c = GetChar();
+      const int c = in_.Get();
       if (c < 0) {
         return Fail("unexpected end of input");
       }
@@ -209,8 +64,8 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
         if (c != ',') {
           return Fail("expected ',' or '}' in object");
         }
-        SkipSpace();
-        if (GetChar() != '"') {
+        SkipJsonSpace(in_);
+        if (in_.Get() != '"') {
           return Fail("expected a string key");
         }
         return EmitKey();
@@ -225,8 +80,8 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
       break;  // fall through to the next array element
     }
     case State::kObjectFirst: {
-      SkipSpace();
-      const int c = GetChar();
+      SkipJsonSpace(in_);
+      const int c = in_.Get();
       if (c == '}') {
         stack_.pop_back();
         state_ = State::kAfterValue;
@@ -238,9 +93,9 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
       return EmitKey();
     }
     case State::kArrayFirst:
-      SkipSpace();
-      if (PeekChar() == ']') {
-        GetChar();
+      SkipJsonSpace(in_);
+      if (in_.Peek() == ']') {
+        in_.Get();
         stack_.pop_back();
         state_ = State::kAfterValue;
         return Emit(TokenKind::kEndArray);
@@ -251,66 +106,40 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
   }
 
   // A value starts here.
-  SkipSpace();
-  const int c = GetChar();
+  SkipJsonSpace(in_);
+  const int c = in_.Get();
   if (c < 0) {
     return Fail("unexpected end of input");
   }
-  switch (c) {
-    case '{':
-      if (stack_.size() >= limits_.max_depth) {
-        return Fail("nesting exceeds the depth limit");
-      }
-      stack_.push_back(Context::kObject);
-      NoteBuffered(0);
-      state_ = State::kObjectFirst;
-      return Emit(TokenKind::kBeginObject);
-    case '[':
-      if (stack_.size() >= limits_.max_depth) {
-        return Fail("nesting exceeds the depth limit");
-      }
-      stack_.push_back(Context::kArray);
-      NoteBuffered(0);
-      state_ = State::kArrayFirst;
-      return Emit(TokenKind::kBeginArray);
-    case '"': {
-      std::string text;
-      if (!LexString(&text)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kString, std::move(text));
+  if (c == '{' || c == '[') {
+    if (stack_.size() >= limits_.max_depth) {
+      return Fail("nesting exceeds the depth limit");
     }
-    case 't':
-      if (!LexWord("true", c)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kBool, "true", true);
-    case 'f':
-      if (!LexWord("false", c)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kBool, "false", false);
-    case 'n':
-      if (!LexWord("null", c)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kNull);
-    default: {
-      if (c != '-' && !std::isdigit(c)) {
-        return Fail("expected a value");
-      }
-      std::string text;
-      if (!LexNumber(&text, c)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kNumber, std::move(text));
-    }
+    const bool object = c == '{';
+    stack_.push_back(object ? Context::kObject : Context::kArray);
+    state_ = object ? State::kObjectFirst : State::kArrayFirst;
+    return Emit(object ? TokenKind::kBeginObject : TokenKind::kBeginArray);
   }
+  std::string error;
+  if (!LexJsonScalar(in_, c, limits_.max_string_bytes, limits_.max_number_bytes, &scalar_,
+                     &error)) {
+    return Fail(error);
+  }
+  state_ = State::kAfterValue;
+  switch (scalar_.kind) {
+    case JsonValue::Kind::kString:
+      token_.text.swap(scalar_.string);
+      return Emit(TokenKind::kString);
+    case JsonValue::Kind::kNumber:
+      token_.text.swap(scalar_.raw);
+      return Emit(TokenKind::kNumber);
+    case JsonValue::Kind::kBool:
+      token_.text = scalar_.boolean ? "true" : "false";
+      return Emit(TokenKind::kBool, scalar_.boolean);
+    case JsonValue::Kind::kNull:
+      break;
+  }
+  return Emit(TokenKind::kNull);
 }
 
 std::optional<int64_t> ParseDecimalUsToNs(std::string_view token) {

@@ -1,12 +1,14 @@
 // Streaming JSON tokenizer for trace import.
 //
-// The flat-object parser in src/util/json.h is deliberately restricted to the
-// serve protocol's one-line requests; Chrome trace files are multi-megabyte
-// *nested* documents (an array of event objects, each with an `args` object)
-// that must not be materialized whole. This tokenizer pulls one token at a
-// time straight off a std::istream: the only buffered state is the current
-// token's text plus a depth stack, both hard-capped by Limits, so peak
-// resident memory is bounded no matter how large the file is.
+// The flat-object parser in src/util/json.h reads one-line records; Chrome
+// trace files are multi-megabyte *nested* documents (an array of event
+// objects, each with an `args` object) that must not be materialized whole.
+// This tokenizer holds the nested grammar and pulls one token at a time
+// straight off a std::istream, lexing each key and scalar with the lexer
+// json.h defines (the same string, number and literal rules as the flat
+// parser). The only buffered state is the current token's text plus a depth
+// stack, both hard-capped by Limits, so peak resident memory is bounded no
+// matter how large the file is.
 //
 // Grammar checking is strict (commas, colons, nesting, one top-level value,
 // no trailing garbage); anything malformed — truncated input, bad escapes,
@@ -23,6 +25,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/util/json.h"
 
 namespace daydream {
 
@@ -65,7 +69,7 @@ class JsonStreamTokenizer {
   const Token& token() const { return token_; }
 
   // Bytes consumed from the stream so far (error positions).
-  uint64_t offset() const { return offset_; }
+  uint64_t offset() const { return in_.offset; }
 
   // High-water mark of the transient buffer (token text + depth stack), the
   // quantity the bounded-memory tests assert on.
@@ -81,23 +85,15 @@ class JsonStreamTokenizer {
   };
 
   const Token& Fail(const std::string& message);
-  const Token& Emit(TokenKind kind, std::string text = "", bool boolean = false);
+  const Token& Emit(TokenKind kind, bool boolean = false);  // token_.text already set
   const Token& EmitKey();  // after the key's opening quote was consumed
 
-  int GetChar();   // -1 on EOF
-  int PeekChar();  // does not consume
-  void SkipSpace();
-  bool LexString(std::string* out);  // after the opening quote was consumed
-  bool LexNumber(std::string* out, int first);
-  bool LexWord(std::string_view word, int first);
-  void NoteBuffered(size_t bytes);
-
-  std::istream& in_;
+  JsonStreamSource in_;
   const Limits limits_;
   Token token_;
+  JsonValue scalar_;  // the lexer's output; its buffers are swapped into token_
   std::vector<Context> stack_;  // innermost last; empty once the value closed
   State state_ = State::kValueStart;
-  uint64_t offset_ = 0;
   size_t max_buffered_ = 0;
 };
 

@@ -15,7 +15,7 @@
 
 #include "src/core/graph_builder.h"
 #include "src/core/graph_lint.h"
-#include "src/core/graph_testing.h"
+#include "tests/graph_testing.h"
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/sim_plan.h"
 #include "src/core/simulator.h"

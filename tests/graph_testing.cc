@@ -1,4 +1,4 @@
-#include "src/core/graph_testing.h"
+#include "tests/graph_testing.h"
 
 #include <memory>
 #include <utility>

@@ -8,11 +8,10 @@
 // SimPlan that break exactly one invariant per method, named after the lint
 // pass that must catch them.
 //
-// Linked from the test binaries only (graph_testing.cc is not part of the
-// daydream library target); nothing in src/ may include this header outside
-// of its own implementation.
-#ifndef SRC_CORE_GRAPH_TESTING_H_
-#define SRC_CORE_GRAPH_TESTING_H_
+// Test support: linked into graph_lint_test only, never into the daydream
+// library.
+#ifndef TESTS_GRAPH_TESTING_H_
+#define TESTS_GRAPH_TESTING_H_
 
 #include "src/core/dependency_graph.h"
 #include "src/core/sim_plan.h"
@@ -80,4 +79,4 @@ class ShardCorruptor {
 
 }  // namespace daydream
 
-#endif  // SRC_CORE_GRAPH_TESTING_H_
+#endif  // TESTS_GRAPH_TESTING_H_

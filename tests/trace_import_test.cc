@@ -336,6 +336,17 @@ TEST(CuptiImport, RejectsMalformedRecordsWithLineNumbers) {
       {"{\"kind\":\"runtime\",\"name\":\"r\",\"start\":0,\"end\":1,\"threadId\":0,\"processId\":1}\n"
        "{\"kind\":\"runtime\",\"name\":\"r\",\"start\":2,\"end\":3,\"threadId\":0,\"processId\":2}\n",
        "second processId"},
+      // Int-typed fields are range-checked, never narrowed.
+      {R"({"kind":"gradient","layer":4294967296,"bytes":8,"bucket":4294967297})",
+       "\"layer\" out of range"},
+      {R"({"kind":"gradient","layer":0,"bytes":8,"bucket":4294967297})", "\"bucket\" out of range"},
+      {R"({"kind":"gradient","layer":-7,"bytes":8,"bucket":0})", "gradient layer/bucket"},
+      {R"({"kind":"kernel","name":"k","start":0,"end":1,"streamId":0,"layer":4294967299})",
+       "\"layer\" out of range"},
+      {R"({"kind":"comm","name":"c","start":0,"end":1,"channelId":0,"commKind":"p2p","layer":4294967296})",
+       "\"layer\" out of range"},
+      {R"({"kind":"marker","name":"l","start":5,"threadId":0,"layer":-7,"phase":"forward","begin":true})",
+       "bad layer"},
   };
   for (const auto& c : cases) {
     std::string error;

@@ -10,6 +10,7 @@
 #include "src/util/deadline.h"
 #include "src/util/fault.h"
 #include "src/util/json.h"
+#include "src/util/json_stream.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/string_util.h"
@@ -354,6 +355,79 @@ TEST(Json, NamesTheOffendingConstructOnParseErrors) {
     EXPECT_FALSE(ParseJsonObject(text, &error).has_value()) << text;
     EXPECT_NE(error.find(expected), std::string::npos)
         << "input: " << text << "\ngot: " << error;
+  }
+}
+
+// One lexer under both grammars: each lexical case gets the same verdict, and
+// the same decoded text, as a flat-object member and as a streamed array
+// element.
+TEST(Json, FlatParserAndTokenizerShareOneLexicalVerdict) {
+  const struct {
+    const char* value;
+    bool ok;
+  } cases[] = {
+      {R"("plain")", true},
+      {R"("a\"b\\c\/d\b\f\n\r\t")", true},
+      {R"("\u00e9\u20AC\u0041")", true},
+      {R"("\q")", false},
+      {R"("\u12")", false},
+      {R"("\uZZZZ")", false},
+      {"\"a\x01z\"", false},
+      {R"("unterminated)", false},
+      {R"("\u00)", false},
+      {"tru", false},
+      {"-", false},
+      {"1e", false},
+      {"1e+", false},
+      {"1e999", false},
+      {"-1e999", false},
+      {"1e-400", true},
+      {"-0", true},
+      {"01", true},
+      {"1.", true},
+      {"-.5", true},
+      {"1e5", true},
+      {"+1", false},
+      {".5", false},
+      {"1.2.3", false},
+      {"1-2", false},
+      {"0x10", false},
+      {"nope", false},
+      {"truth", false},
+      {"NaN", false},
+      {"-Infinity", false},
+      {"true", true},
+      {"false", true},
+      {"null", true},
+  };
+  for (const auto& c : cases) {
+    const std::string value = c.value;
+    std::string flat_error;
+    const std::optional<JsonObject> flat = ParseJsonObject("{\"a\":" + value + "}", &flat_error);
+    EXPECT_EQ(flat.has_value(), c.ok) << value << ": " << flat_error;
+
+    std::stringstream in("[" + value + "]");
+    JsonStreamTokenizer tok(in);
+    std::string streamed_text;
+    JsonStreamTokenizer::TokenKind kind = tok.Next().kind;
+    for (int guard = 0; guard < 8 && kind != JsonStreamTokenizer::TokenKind::kEnd &&
+                        kind != JsonStreamTokenizer::TokenKind::kError;
+         ++guard) {
+      kind = tok.Next().kind;
+      if (guard == 0) {
+        streamed_text = tok.token().text;
+      }
+    }
+    EXPECT_EQ(kind == JsonStreamTokenizer::TokenKind::kEnd, c.ok) << value << ": "
+                                                                  << tok.token().text;
+    if (flat.has_value() && kind == JsonStreamTokenizer::TokenKind::kEnd) {
+      const JsonValue& member = *flat->Find("a");
+      if (member.kind == JsonValue::Kind::kString) {
+        EXPECT_EQ(member.string, streamed_text) << value;
+      } else if (member.kind == JsonValue::Kind::kNumber) {
+        EXPECT_EQ(member.raw, streamed_text) << value;
+      }
+    }
   }
 }
 

@@ -17,9 +17,11 @@ Three kinds of gates:
      row's simulation): a baseline/fresh sim_jobs mismatch on the same row is
      a hard failure — the two numbers measure different configurations, so
      comparing them would be meaningless; regenerate the committed baseline.
-     When the two files report different host "hardware_concurrency",
-     sim_jobs>1 rows are loudly excluded from the wall-time gate entirely:
-     parallel wall time is a property of core count, never silently compared
+     That holds between hosts with the same core count. When the two files
+     report different host "hardware_concurrency", a row with sim_jobs>1 on
+     either side is reported as "skipped (core-count mismatch)" and left out
+     of the wall-time gate: parallel wall time (and the shard count
+     perf_core picks) is a property of core count, never silently compared
      across core counts.
   3. Row-set drift, reported by name in both directions: rows present only
      in the baseline ("MISSING") always fail — a renamed or deleted
@@ -140,7 +142,12 @@ def main():
         base_ms, base_jobs = base
         ratio = fresh_ms / base_ms if base_ms > 0 else float("inf")
         status = "ok"
-        if base_jobs != fresh_jobs:
+        if hw_mismatch and max(base_jobs, fresh_jobs) > 1:
+            # Checked before the sim_jobs comparison: perf_core picks
+            # sim_jobs from the core count, so across core counts the shard
+            # counts differ by design.
+            status = "skipped (core-count mismatch)"
+        elif base_jobs != fresh_jobs:
             # Different shard counts time different configurations; never let
             # that slide through as an apples-to-apples wall-time comparison.
             status = "**SIM_JOBS MISMATCH**"
@@ -149,8 +156,6 @@ def main():
                 f"measured sim_jobs={fresh_jobs} — regenerate the committed "
                 "baseline so both runs time the same configuration"
             )
-        elif hw_mismatch and fresh_jobs > 1:
-            status = "skipped (core-count mismatch)"
         elif base_ms < args.min_gated_ms:
             status = "ok (not gated)" if ratio <= args.tolerance else "slow (not gated)"
         elif ratio > args.tolerance:
