@@ -38,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/core/graph_builder.h"
 #include "src/core/layer_map.h"
 #include "src/core/optimizations/amp.h"
@@ -56,6 +55,7 @@
 #include "src/trace/import_chrome.h"
 #include "src/trace/import_cupti.h"
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 #include "tests/reference_scan.h"
@@ -433,8 +433,9 @@ struct BenchRow {
 
 int Main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_simulator.json";
-  BenchHeader("perf_core — simulator & graph-mutation microbenchmarks",
-              "§7.1 (simulation runtime), §4.4 (graph transformation), Algorithm 1");
+  std::cout << "\n=== perf_core — simulator & graph-mutation microbenchmarks ===\n"
+            << "paper reference: §7.1 (simulation runtime), §4.4 (graph transformation), "
+               "Algorithm 1\n\n";
 
   const RunConfig config = DefaultRunConfig(kModel);
   const Trace trace = CollectBaselineTrace(config);

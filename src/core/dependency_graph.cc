@@ -396,8 +396,7 @@ void DependencyGraph::VisitBucket(Bucket& bucket, bool by_layer, const TaskQuery
 
 DependencyGraph::Bucket* DependencyGraph::BucketFor(const TaskQuery& query,
                                                     bool* by_layer) const {
-  if (query.impossible || !select_indexing_enabled_ ||
-      (!query.layer_id.has_value() && !query.phase.has_value())) {
+  if (query.impossible || (!query.layer_id.has_value() && !query.phase.has_value())) {
     return nullptr;
   }
   EnsureSelectIndexes();
@@ -464,7 +463,7 @@ std::vector<TaskId> DependencyGraph::Select(const TaskPredicate& predicate) cons
 }
 
 void DependencyGraph::EnsureSelectIndexes() const {
-  if (indexes_built_ || !select_indexing_enabled_) {
+  if (indexes_built_) {
     return;
   }
   meta_.assign(tasks_.size(), TaskMeta{});
@@ -645,7 +644,6 @@ DependencyGraph DependencyGraph::Clone() const {
   out.structure_stamp_ = structure_stamp_;
   out.threads_ = threads_;
   out.thread_index_ = thread_index_;
-  out.select_indexing_enabled_ = select_indexing_enabled_;
   out.indexes_built_ = indexes_built_;
   if (indexes_built_) {
     out.phase_buckets_ = phase_buckets_;

@@ -95,9 +95,6 @@ class DependencyGraph {
   // structured Select). Daydream calls this once on the baseline graph so
   // every per-case clone starts with warm indexes.
   void EnsureSelectIndexes() const;
-  // Testing/benchmark hook: with indexing disabled every Select runs the
-  // generic full scan — the pre-index behavior.
-  void SetSelectIndexingEnabled(bool enabled) { select_indexing_enabled_ = enabled; }
 
   // ---- Access ----
 
@@ -263,7 +260,6 @@ class DependencyGraph {
   uint32_t mark_epoch_ = 0;
 
   // ---- Select indexes (lazily built, incrementally maintained) ----
-  bool select_indexing_enabled_ = true;
   mutable bool indexes_built_ = false;
   mutable std::array<Bucket, kNumPhases> phase_buckets_;
   mutable std::unordered_map<int, Bucket> layer_buckets_;

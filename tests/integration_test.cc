@@ -1,37 +1,61 @@
 // End-to-end accuracy tests: Daydream's predictions vs the ground-truth
-// executor, asserting the paper's headline accuracy claims (with modest
-// slack for our synthetic substrate).
+// executor, asserting the paper's headline accuracy claims.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
 #include "src/runtime/ground_truth.h"
 #include "src/util/stats.h"
+#include "tests/paper_accuracy.h"
 
 namespace daydream {
 namespace {
 
-double PredErr(TimeNs predicted, TimeNs ground_truth) {
-  return RelErrorPct(static_cast<double>(predicted), static_cast<double>(ground_truth));
+// Figures 5, 7 and 8: every row within the bound the table stores for it —
+// AMP and FusedAdam < 13%, distributed <= 10% on all 76 configurations.
+TEST(PaperAccuracy, ErrorsWithinPaperBounds) {
+  std::vector<AccuracyRow> rows = PaperAccuracyTable();
+  std::erase_if(rows, [](const AccuracyRow& row) {
+    return row.figure != "fig05" && row.figure != "fig07" && row.figure != "fig08";
+  });
+  ASSERT_EQ(rows.size(), 4u + 3u + 76u);
+  MeasureAccuracy(&rows);
+  for (const AccuracyRow& row : rows) {
+    const std::string label = row.figure + " " + ModelName(row.model) + " " + CaseLabel(row);
+    ASSERT_TRUE(row.paper_bound_pct.has_value()) << label;
+    EXPECT_LE(row.result.error_pct, *row.paper_bound_pct) << label;
+    if (row.figure == "fig05") {
+      // The prediction must detect AMP as beneficial.
+      EXPECT_LT(row.result.predicted, row.result.simulated_baseline) << label;
+    }
+  }
+}
+
+// The committed BENCH_accuracy.json is the table's output byte for byte;
+// regenerate it with DAYDREAM_UPDATE_GOLDEN=1 (or ./build/accuracy). It pins
+// the two fig10 rows outside the paper's 16.2% P3 bound (VGG-19 at 20 and
+// 25 Gbps).
+TEST(PaperAccuracy, CommittedJsonMatches) {
+  std::vector<AccuracyRow> rows = PaperAccuracyTable();
+  ASSERT_EQ(rows.size(), 119u);
+  MeasureAccuracy(&rows);
+  const std::string fresh = AccuracyJson(rows);
+  if (std::getenv("DAYDREAM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(DAYDREAM_ACCURACY_JSON, std::ios::binary) << fresh;
+  }
+  std::ostringstream committed;
+  committed << std::ifstream(DAYDREAM_ACCURACY_JSON, std::ios::binary).rdbuf();
+  EXPECT_EQ(fresh, committed.str())
+      << DAYDREAM_ACCURACY_JSON << " drifted from the accuracy table. If intended, run\n"
+      << "  DAYDREAM_UPDATE_GOLDEN=1 ./integration_test --gtest_filter=PaperAccuracy.Committed*\n"
+      << "and commit the diff.";
 }
 
 // ---- Figure 5: AMP ----
-
-TEST(PaperAccuracy, AmpErrorsUnderBound) {
-  for (ModelId model :
-       {ModelId::kBertBase, ModelId::kBertLarge, ModelId::kGnmt, ModelId::kResNet50}) {
-    const RunConfig config = DefaultRunConfig(model);
-    const ExecutionResult baseline = RunGroundTruth(config);
-    RunConfig amp = config;
-    amp.gt.amp = true;
-    const TimeNs gt = RunGroundTruth(amp).IterationTime();
-    Daydream dd(baseline.trace);
-    const PredictionResult pred = dd.Predict([](DependencyGraph* g) { WhatIfAmp(g); });
-    EXPECT_LT(PredErr(pred.predicted, gt), 14.0) << ModelName(model);  // paper: <13%
-    // The prediction must detect the optimization as beneficial.
-    EXPECT_GT(pred.SpeedupPct(), 0.0) << ModelName(model);
-  }
-}
 
 TEST(PaperAccuracy, BertLargeAmpModerateGain) {
   // §1 / Figure 5: BERT_LARGE gains ~17.2% from AMP — far below the 2-3x
@@ -46,19 +70,6 @@ TEST(PaperAccuracy, BertLargeAmpModerateGain) {
 }
 
 // ---- Figure 7: FusedAdam ----
-
-TEST(PaperAccuracy, FusedAdamErrorsUnderBound) {
-  for (ModelId model : {ModelId::kBertBase, ModelId::kBertLarge, ModelId::kGnmt}) {
-    const RunConfig config = DefaultRunConfig(model);
-    const ExecutionResult baseline = RunGroundTruth(config);
-    RunConfig fused = config;
-    fused.gt.fused_adam = true;
-    const TimeNs gt = RunGroundTruth(fused).IterationTime();
-    Daydream dd(baseline.trace);
-    const PredictionResult pred = dd.Predict([](DependencyGraph* g) { WhatIfFusedAdam(g); });
-    EXPECT_LT(PredErr(pred.predicted, gt), 13.0) << ModelName(model);
-  }
-}
 
 TEST(PaperAccuracy, FusedAdamBertLargeBigGnmtSmall) {
   // §6.3: BERT_LARGE improves ~38.7% (WU is ~45% of its iteration and
@@ -115,31 +126,6 @@ TEST(PaperAccuracy, RbnPredictionOptimisticVsGroundTruth) {
 }
 
 // ---- Figure 8: distributed ----
-
-TEST(PaperAccuracy, DistributedPredictionErrors) {
-  const RunConfig base_config = DefaultRunConfig(ModelId::kGnmt);
-  const Trace baseline = CollectBaselineTrace(base_config);
-  Daydream dd(baseline);
-  RunningStats errors;
-  for (double gbps : {10.0, 40.0}) {
-    for (int machines : {2, 4}) {
-      ClusterConfig cluster;
-      cluster.machines = machines;
-      cluster.gpus_per_machine = 1;
-      cluster.network.bandwidth_gbps = gbps;
-      RunConfig dist = base_config;
-      dist.comm = CommBackend::kNccl;
-      dist.cluster = cluster;
-      const TimeNs gt = RunGroundTruth(dist).IterationTime();
-      DistributedWhatIf opts;
-      opts.cluster = cluster;
-      const PredictionResult pred = dd.Predict(
-          [&](DependencyGraph* g) { WhatIfDistributed(g, dd.trace().gradients(), opts); });
-      errors.Add(PredErr(pred.predicted, gt));
-    }
-  }
-  EXPECT_LT(errors.max(), 11.0);  // paper: at most ~10% in most configurations
-}
 
 TEST(PaperAccuracy, DistributedScalingShape) {
   // Iteration time grows with worker count at fixed bandwidth (comm overhead)

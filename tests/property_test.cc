@@ -194,5 +194,28 @@ TEST(DistributedGrid, PredictionMonotoneInBandwidth) {
   }
 }
 
+
+// ---- metamorphic simulator properties over the model zoo ----
+
+// The identity transform predicts exactly the baseline, and scaling every
+// duration and gap by an integer k scales the makespan by exactly k (the
+// scaled graph keeps its structure, so this also runs the retime path).
+TEST(Metamorphic, IdentityAndIntegerTimeScaling) {
+  for (ModelId model : PaperModels()) {
+    const Daydream dd(CollectBaselineTrace(DefaultRunConfig(model)));
+    const PredictionResult identity = dd.Predict({});
+    EXPECT_EQ(identity.predicted, identity.baseline) << ModelName(model);
+    for (TimeNs k : {2, 3, 7}) {
+      const PredictionResult scaled = dd.Predict([k](DependencyGraph* g) {
+        for (TaskId id : g->AliveTasks()) {
+          g->task(id).duration *= k;
+          g->task(id).gap *= k;
+        }
+      });
+      EXPECT_EQ(scaled.predicted, k * scaled.baseline) << ModelName(model) << " k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace daydream
