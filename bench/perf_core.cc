@@ -664,8 +664,8 @@ int Main(int argc, char** argv) {
   // Prediction-as-a-service: the load-once/query-many claim as numbers. A
   // cold query pays the whole per-invocation pipeline every CLI run used to
   // pay (graph build + structural lint + baseline compile + transform +
-  // compile + simulate); a warm query against a live session is a PlanCache
-  // hit — transform-signature lookup plus plan dispatch.
+  // compile + simulate); a warm query against a live session is a session
+  // plan-cache hit — signature lookup plus plan dispatch.
   std::string session_error;
   std::shared_ptr<TraceSession> session =
       TraceSession::Create(trace, SessionOptions{}, &session_error);

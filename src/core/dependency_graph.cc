@@ -1,7 +1,6 @@
 #include "src/core/dependency_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
 #include <utility>
 
@@ -13,14 +12,23 @@ namespace daydream {
 
 namespace {
 
-// Globally unique structural-version values: every structural mutation takes
-// a fresh stamp from one process-wide counter, so equal stamps can only mean
-// "same copy/clone lineage with zero structural mutations since" — two
-// unrelated graphs that happen to have performed the same number of
-// mutations can never collide.
-uint64_t NextStructureStamp() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+// Structural mutations, as tags folded into the stamp ahead of their
+// operands.
+enum class StructureOp : uint64_t { kMakeNode = 1, kAddEdge, kRemoveEdge, kRemoveTask };
+
+// splitmix64's finalizer: a bijective 64-bit mix.
+uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// One structural mutation folded into the running stamp. Order-sensitive and
+// not invertible, so a mutation followed by its undo lands on a new stamp.
+uint64_t FoldStructure(uint64_t stamp, StructureOp op, uint64_t a, uint64_t b = 0) {
+  stamp = Mix64(stamp ^ (static_cast<uint64_t>(op) * 0x9e3779b97f4a7c15ULL));
+  stamp = Mix64(stamp ^ a);
+  return Mix64(stamp ^ b);
 }
 
 }  // namespace
@@ -55,7 +63,8 @@ TaskId DependencyGraph::MakeNode(Task task) {
   n.task = std::move(task);
   tasks_.push_back(std::move(n));
   ++num_alive_;
-  structure_stamp_ = NextStructureStamp();
+  structure_stamp_ = FoldStructure(structure_stamp_, StructureOp::kMakeNode,
+                                   static_cast<uint64_t>(id), ThreadKey(tasks_.back().task.thread));
   return id;
 }
 
@@ -152,7 +161,8 @@ void DependencyGraph::AddEdge(TaskId from, TaskId to) {
   }
   children.push_back(to);
   node(to).parents.push_back(from);
-  structure_stamp_ = NextStructureStamp();
+  structure_stamp_ = FoldStructure(structure_stamp_, StructureOp::kAddEdge,
+                                   static_cast<uint64_t>(from), static_cast<uint64_t>(to));
 }
 
 void DependencyGraph::RemoveEdge(TaskId from, TaskId to) {
@@ -166,7 +176,8 @@ void DependencyGraph::RemoveEdge(TaskId from, TaskId to) {
   auto pit = std::find(parents.begin(), parents.end(), from);
   DD_CHECK(pit != parents.end());
   parents.erase(pit);
-  structure_stamp_ = NextStructureStamp();
+  structure_stamp_ = FoldStructure(structure_stamp_, StructureOp::kRemoveEdge,
+                                   static_cast<uint64_t>(from), static_cast<uint64_t>(to));
 }
 
 bool DependencyGraph::HasEdge(TaskId from, TaskId to) const {
@@ -328,6 +339,8 @@ void DependencyGraph::RemoveTasks(std::span<const TaskId> ids) {
   }
 
   for (TaskId r : removed) {
+    structure_stamp_ =
+        FoldStructure(structure_stamp_, StructureOp::kRemoveTask, static_cast<uint64_t>(r));
     Unlink(r);
     Node& n = node(r);
     n.parents = {};
@@ -337,7 +350,6 @@ void DependencyGraph::RemoveTasks(std::span<const TaskId> ids) {
     }
   }
   num_alive_ -= static_cast<int>(removed.size());
-  structure_stamp_ = NextStructureStamp();
 }
 
 std::vector<TaskId> DependencyGraph::SelectByScan(const TaskQuery& query) const {

@@ -130,13 +130,14 @@ class DependencyGraph {
   // payload — task data of dead ids is default-constructed in the clone.
   DependencyGraph Clone() const;
 
-  // Version of the graph's *structure*: task creation/removal and edge
-  // surgery each take a fresh globally-unique stamp; timing edits through the
-  // mutable task() accessor do not. Clone() (and the copy constructor) carry
-  // the value over, so two graphs with equal stamps share a copy lineage with
-  // zero structural mutations since — i.e. they are structurally identical
-  // (the contract SimPlan::Retime relies on). Distinct construction always
-  // yields distinct stamps, even for identical structures (conservatively
+  // Fingerprint of the graph's *structure*: a 64-bit fold of every task
+  // creation (id, thread), edge addition/removal (both endpoints) and task
+  // removal (id), in order; timing edits through the mutable task() accessor
+  // do not touch it. Clone() (and the copy constructor) carry the value over,
+  // and two graphs that received the same mutation sequence carry equal
+  // stamps — so equal stamps mean equal structure, up to 64-bit collision
+  // odds (the contract SimPlan::Retime relies on). Different sequences that
+  // happen to build the same structure get different stamps (conservatively
   // forcing a fresh plan compile).
   uint64_t structure_stamp() const { return structure_stamp_; }
 

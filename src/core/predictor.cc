@@ -54,11 +54,15 @@ DependencyGraph Daydream::Transform(const std::function<void(DependencyGraph*)>&
   return transformed;
 }
 
-SimPlan Daydream::Plan(const DependencyGraph& transformed, bool* retimed) const {
-  if (retimed != nullptr) {
-    *retimed = baseline_plan_.CompatibleWith(transformed);
+SimPlan Daydream::Plan(const DependencyGraph& transformed, bool* retimed,
+                       const SimPlan* donor) const {
+  if (donor == nullptr) {
+    donor = &baseline_plan_;
   }
-  return Simulator().Compile(transformed, &baseline_plan_);
+  if (retimed != nullptr) {
+    *retimed = donor->CompatibleWith(transformed);
+  }
+  return Simulator().Compile(transformed, donor);
 }
 
 PredictionResult Daydream::Predict(const std::function<void(DependencyGraph*)>& transform) const {

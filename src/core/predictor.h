@@ -62,10 +62,11 @@ class Daydream {
   DependencyGraph Transform(const std::function<void(DependencyGraph*)>& transform,
                             bool full_lint, LintReport* report) const;
 
-  // Plan retimes baseline_plan() when `transformed` is structurally unchanged
-  // since the baseline (SimPlan::CompatibleWith) and compiles a fresh plan
-  // otherwise. *retimed, when non-null, records which.
-  SimPlan Plan(const DependencyGraph& transformed, bool* retimed = nullptr) const;
+  // Plan retimes `donor` — baseline_plan() when null — when `transformed`
+  // has the donor's structure (SimPlan::CompatibleWith) and compiles a fresh
+  // plan otherwise. *retimed, when non-null, records which.
+  SimPlan Plan(const DependencyGraph& transformed, bool* retimed = nullptr,
+               const SimPlan* donor = nullptr) const;
 
   // Transform + Plan + dispatch. Debug/test builds hold every what-if output
   // to the full lint catalog — timing passes included — so a transform that

@@ -19,14 +19,16 @@
 //     tasks with single integer compares and zero graph indirection.
 //
 // The structure block (everything except durations/gaps/keys) is immutable
-// and shared: Compile() with a donor plan — or Simulator::Compile(graph,
-// &donor) — reuses it when the graph is structurally unchanged since the
-// donor was compiled, which is how a sweep retimes timing-only what-ifs
-// (AMP-style duration scaling) without re-walking a million edges.
+// and shared: Retime() — or Simulator::Compile(graph, &donor) — reuses it
+// when the graph has the donor's structure, which is how a sweep retimes
+// timing-only what-ifs (AMP-style duration scaling) and a serve session
+// retimes one what-if family (every multi-GPU `distributed` config) without
+// re-walking a million edges.
 //
 // Invalidation: a plan captures the graph at compile time and never observes
 // later mutations. DependencyGraph::structure_stamp() is the cheap validity
-// check — Clone() carries the stamp, structural mutation bumps it, and
+// check — a deterministic fold of the structural mutations, which Clone()
+// carries over, so two clones given the same transform match — and
 // CompatibleWith() compares it; timing edits through the mutable task()
 // accessor do not invalidate the structure, they are exactly what Retime
 // re-reads.
@@ -58,7 +60,8 @@ class SimPlan {
   // Rebuilds only the timing and key arrays over `donor`'s shared structure
   // block. Requires `graph` to be structurally identical to the graph the
   // donor was compiled from: same structure_stamp(), same capacity — the
-  // contract a Clone() that only edited durations/gaps/priorities satisfies.
+  // contract a clone that only edited durations/gaps/priorities, or received
+  // the same structural mutations, satisfies.
   static SimPlan Retime(const SimPlan& donor, const DependencyGraph& graph,
                         SchedulePolicy policy = SchedulePolicy::kEarliestStart);
 
@@ -70,9 +73,8 @@ class SimPlan {
   bool empty() const { return structure_ == nullptr; }
   int num_tasks() const;
   int num_lanes() const;
-  // True when `graph` is still the structure this plan was compiled from
-  // (stamp + capacity match). Only meaningful between a graph and its clones;
-  // see DependencyGraph::structure_stamp().
+  // True when `graph` has the structure this plan was compiled from (stamp +
+  // capacity match); see DependencyGraph::structure_stamp().
   bool CompatibleWith(const DependencyGraph& graph) const;
 
  private:

@@ -64,10 +64,9 @@ class Simulator {
   SimResult Run(const DependencyGraph& graph) const;
 
   // Freezes `graph` into an immutable plan for this simulator's policy.
-  // `donor` optionally shares a previously compiled plan: when `graph` is
-  // structurally unchanged since the donor was compiled
-  // (DependencyGraph::structure_stamp()), only the timing/key arrays are
-  // rebuilt and the CSR structure block is reused.
+  // `donor` optionally shares a previously compiled plan: when `graph` has
+  // the donor's structure (equal DependencyGraph::structure_stamp()), only
+  // the timing/key arrays are rebuilt and the CSR structure block is reused.
   SimPlan Compile(const DependencyGraph& graph, const SimPlan* donor = nullptr) const;
 
   SchedulePolicy policy() const { return policy_; }

@@ -11,8 +11,12 @@
 //             transformations (duration / gap / priority edits — AMP-style
 //             scaling) retime the shared baseline plan instead of recompiling
 //             its CSR structure (DependencyGraph::structure_stamp() certifies
-//             this). The clone is released as soon as the plan exists, so a
-//             prepared case holds plan-sized memory, not graph-sized memory.
+//             this). Structural cases compile their own plan each, even when
+//             they share one structure (several multi-GPU `distributed`
+//             configs); only the serve session cache retimes a family over
+//             one cached plan. The clone is released as soon as the plan
+//             exists, so a prepared case holds plan-sized memory, not
+//             graph-sized memory.
 //   simulate: dispatch the compiled plan (RunPlanParallel).
 //
 // Workers interleave the two stages from a shared queue with a bounded number

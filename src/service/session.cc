@@ -57,75 +57,41 @@ SessionStatus TraceSession::ResolveTransform(const WhatIfRequest& request,
   return *transform ? SessionStatus::kOk : SessionStatus::kBadRequest;
 }
 
-SessionStatus TraceSession::BuildEntry(const WhatIfRequest& request,
-                                       const std::string& signature,
-                                       std::shared_ptr<const DependencyGraph>* graph, int* tasks,
-                                       std::string* error) {
-  std::function<void(DependencyGraph*)> transform;
-  const SessionStatus resolved = ResolveTransform(request, &transform, error);
-  if (resolved != SessionStatus::kOk) {
-    return resolved;
-  }
-
-  // Build outside the lock: clone + transform can take tens of milliseconds
-  // and the baseline graph supports concurrent const access (the SweepRunner
-  // contract).
-  // Structural lint before anyone compiles this graph — SimPlan::Compile
-  // DD_CHECKs on a broken structure, and a daemon must refuse, not abort.
-  LintReport report;
-  auto transformed = std::make_shared<DependencyGraph>(
-      daydream_.Transform(transform, /*full_lint=*/false, &report));
-  if (!report.ok()) {
-    *error = StrFormat("what-if '%s' produced an invalid graph:\n", request.what_if.c_str()) +
-             report.ToString();
-    return SessionStatus::kLintFailed;
-  }
-
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  // A concurrent builder may have inserted this signature first; its entry
-  // (and its plan, if compiled) wins and this graph is dropped.
-  auto [it, inserted] = cache_.try_emplace(signature);
-  it->second.sequence = ++cache_sequence_;
-  if (inserted) {
-    it->second.graph = std::move(transformed);
-    it->second.tasks = it->second.graph->num_alive();
-    while (cache_.size() > options_.plan_cache_capacity) {
-      auto victim = std::min_element(cache_.begin(), cache_.end(),
-                                     [](const auto& a, const auto& b) {
-                                       return a.second.sequence < b.second.sequence;
-                                     });
-      if (victim == it) {
-        break;
-      }
-      if (victim->second.plan != nullptr) {
-        ++stats_.evictions;
-      }
-      cache_.erase(victim);
-    }
-  }
-  *graph = it->second.graph;
-  *tasks = it->second.tasks;
-  return SessionStatus::kOk;
-}
-
 SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                                     std::string* error, const Deadline& deadline) {
   const std::string signature = request.Signature();
-  std::shared_ptr<const DependencyGraph> graph;
-  int tasks = 0;
+  std::shared_ptr<const SimPlan> plan;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_.find(signature);
     if (it != cache_.end()) {
       it->second.sequence = ++cache_sequence_;
-      graph = it->second.graph;
-      tasks = it->second.tasks;
+      plan = it->second.plan;
     }
   }
-  if (graph == nullptr) {
-    const SessionStatus built = BuildEntry(request, signature, &graph, &tasks, error);
-    if (built != SessionStatus::kOk) {
-      return built;
+
+  // A miss builds the transformed graph outside the lock: clone + transform
+  // can take tens of milliseconds and the baseline graph supports concurrent
+  // const access (the SweepRunner contract). Structural lint runs before
+  // anyone compiles the graph — SimPlan::Compile DD_CHECKs on a broken
+  // structure, and a daemon must refuse, not abort. Strict mode (`predict
+  // --validate`) builds the graph on a hit too and holds it to the full lint
+  // catalog, with every finding reported, before any prediction.
+  std::optional<DependencyGraph> graph;
+  if (plan == nullptr || request.validate) {
+    std::function<void(DependencyGraph*)> transform;
+    const SessionStatus resolved = ResolveTransform(request, &transform, error);
+    if (resolved != SessionStatus::kOk) {
+      return resolved;
+    }
+    LintReport report;
+    graph = daydream_.Transform(transform, /*full_lint=*/request.validate, &report);
+    if (!report.ok()) {
+      *error = StrFormat(request.validate ? "what-if '%s' fails lint:\n"
+                                          : "what-if '%s' produced an invalid graph:\n",
+                         request.what_if.c_str()) +
+               report.ToString();
+      return SessionStatus::kLintFailed;
     }
   }
   if (deadline.Expired()) {
@@ -133,28 +99,21 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
     return SessionStatus::kDeadlineExceeded;
   }
 
-  if (request.validate) {
-    // Strict mode (`predict --validate`): the full lint catalog over the
-    // transformed graph, with every finding reported, before any prediction.
-    const LintReport report = GraphLint::LintGraph(*graph);
-    if (!report.ok()) {
-      *error = StrFormat("what-if '%s' fails lint:\n", request.what_if.c_str()) +
-               report.ToString();
-      return SessionStatus::kLintFailed;
-    }
-  }
-
-  outcome->tasks = tasks;
-  outcome->prediction.baseline = daydream_.BaselineSimTime();
-
-  std::shared_ptr<const SimPlan> plan;
+  // A miss retimes over any cached plan with its structure (a what-if
+  // family: every multi-GPU `distributed` config shares one), falling back to
+  // the baseline plan inside Daydream::Plan.
+  std::shared_ptr<const SimPlan> donor;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(signature);
-    if (it != cache_.end()) {
-      plan = it->second.plan;
-    }
     ++(plan != nullptr ? stats_.hits : stats_.misses);
+    if (plan == nullptr) {
+      for (const auto& [key, entry] : cache_) {
+        if (entry.plan->CompatibleWith(*graph)) {
+          donor = entry.plan;
+          break;
+        }
+      }
+    }
   }
   outcome->plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
@@ -163,19 +122,34 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
       return SessionStatus::kUnavailable;
     }
     bool retimed = false;
-    plan = std::make_shared<const SimPlan>(daydream_.Plan(*graph, &retimed));
+    plan = std::make_shared<const SimPlan>(daydream_.Plan(*graph, &retimed, donor.get()));
     // Fault site: a failed store degrades gracefully — this request still
-    // answers from its local plan, the entry keeps its graph but stays
-    // without a plan.
+    // answers from its local plan, the cache keeps nothing.
+    std::vector<CacheEntry> victims;  // freed after cache_mu_ is released
     if (!FaultInjector::Global().ShouldFail("plan_cache_insert")) {
       std::lock_guard<std::mutex> lock(cache_mu_);
       ++(retimed ? stats_.retimes : stats_.compiles);
-      auto it = cache_.find(signature);
-      if (it != cache_.end() && it->second.plan == nullptr) {
-        it->second.plan = plan;
+      // A concurrent miss may have stored this signature first; its plan wins.
+      auto it = cache_.try_emplace(signature, CacheEntry{plan}).first;
+      it->second.sequence = ++cache_sequence_;
+      while (cache_.size() > options_.plan_cache_capacity) {
+        auto victim = std::min_element(cache_.begin(), cache_.end(),
+                                       [](const auto& a, const auto& b) {
+                                         return a.second.sequence < b.second.sequence;
+                                       });
+        if (victim == it) {
+          break;
+        }
+        victims.push_back(std::move(victim->second));
+        cache_.erase(victim);
+        ++stats_.evictions;
       }
     }
   }
+  graph.reset();  // the plan is all the dispatch reads
+
+  outcome->tasks = plan->num_tasks();
+  outcome->prediction.baseline = daydream_.BaselineSimTime();
   if (deadline.Expired()) {
     *error = "deadline expired before plan dispatch";
     return SessionStatus::kDeadlineExceeded;
@@ -228,9 +202,7 @@ PlanCacheStats TraceSession::plan_cache_stats() const {
 
 size_t TraceSession::plan_cache_size() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return static_cast<size_t>(std::count_if(cache_.begin(), cache_.end(), [](const auto& entry) {
-    return entry.second.plan != nullptr;
-  }));
+  return cache_.size();
 }
 
 std::vector<SweepOutcome> TraceSession::Sweep(const std::vector<SweepCase>& cases,

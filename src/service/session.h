@@ -8,12 +8,13 @@
 // predict/sweep/lint queries against it:
 //
 //   - Predict serves a WhatIfRequest from one LRU cache keyed on the request
-//     signature. An entry holds the transformed graph (resolved through
-//     ResolveWhatIf, src/runtime/sweep.h, and built on the signature's first
-//     query) and the plan compiled from it (filled on the first successful
-//     compile): a repeated query is a lookup + plan dispatch; a timing-only
-//     what-if that misses fills its entry through Daydream::Plan's Retime over
-//     the baseline structure instead of a full CSR compile.
+//     signature. An entry holds only the compiled plan: a repeated query is a
+//     lookup + plan dispatch. A miss resolves the request (ResolveWhatIf,
+//     src/runtime/sweep.h), builds the transformed graph, plans it and drops
+//     the graph. The plan is a Retime over any cached plan with the same
+//     structure stamp — one structure block per what-if family (all
+//     multi-GPU `distributed` configs share one; timing-only what-ifs share
+//     the baseline's) — and a full CSR compile only for a new structure.
 //   - PredictP3 answers the p3 what-if, which is not a graph transform (it
 //     reports the steady-state parameter-server iteration).
 //   - Sweep runs a case matrix through the existing SweepRunner pipeline over
@@ -57,10 +58,10 @@ struct PredictOutcome {
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  // Evicted cache entries that held a plan.
+  // Evicted cache entries.
   uint64_t evictions = 0;
-  // How the misses were filled: Retime over a donor structure block
-  // (timing-only what-ifs) vs a full CSR compile.
+  // How the misses were filled: Retime over a cached or baseline plan with
+  // the same structure vs a full CSR compile.
   uint64_t retimes = 0;
   uint64_t compiles = 0;
 };
@@ -81,7 +82,7 @@ enum class SessionStatus {
 };
 
 struct SessionOptions {
-  // Bounds the session's signature-keyed cache (transformed graph + plan).
+  // Bounds the session's signature-keyed plan cache.
   size_t plan_cache_capacity = 64;
 };
 
@@ -105,7 +106,9 @@ class TraceSession {
                                  std::string* error) const;
 
   // One what-if prediction with warm-plan reuse (see file comment). The
-  // request is resolved through ResolveTransform only on a cache miss.
+  // request is resolved through ResolveTransform only on a cache miss or a
+  // `validate` request (which lints a fresh transform, then dispatches the
+  // cached plan on a hit).
   // `deadline` is checked between the pipeline's stages (after the transform,
   // after the compile, between shard horizons when the dispatch is sharded):
   // an expired budget returns kDeadlineExceeded instead of finishing.
@@ -136,7 +139,6 @@ class TraceSession {
   std::string ReportText() const;
 
   PlanCacheStats plan_cache_stats() const;
-  // Cache entries that hold a plan.
   size_t plan_cache_size() const;
 
   // Estimated resident footprint (trace events + alive graph tasks), the
@@ -147,21 +149,11 @@ class TraceSession {
 
  private:
   struct CacheEntry {
-    std::shared_ptr<const DependencyGraph> graph;
-    int tasks = 0;
-    std::shared_ptr<const SimPlan> plan;  // null until the first compile
-    uint64_t sequence = 0;                // LRU clock
+    std::shared_ptr<const SimPlan> plan;
+    uint64_t sequence = 0;  // LRU clock
   };
 
   TraceSession(Trace trace, DependencyGraph graph, SessionOptions options);
-
-  // The cache miss: resolves the request and builds its transformed graph
-  // through Daydream::Transform (clone + transform + structural lint), then
-  // inserts it under `signature`, evicting the least-recently-used entries
-  // past capacity. kLintFailed when the transform output is rejected.
-  SessionStatus BuildEntry(const WhatIfRequest& request, const std::string& signature,
-                           std::shared_ptr<const DependencyGraph>* graph, int* tasks,
-                           std::string* error);
 
   const SessionOptions options_;
   Daydream daydream_;

@@ -10,9 +10,8 @@
 //   ----------------  --------------------------------  ----------------------
 //   trace_load        `open` verb, before ReadTraceFile  `unavailable` envelope
 //   plan_compile      TraceSession::Predict, cache miss  `unavailable` envelope
-//   plan_cache_insert TraceSession::Predict, plan store  store dropped (the
-//                                                        entry keeps its graph
-//                                                        but no plan; the
+//   plan_cache_insert TraceSession::Predict, plan store  store dropped (nothing
+//                                                        is cached; the
 //                                                        request still answers)
 //   worker_execute    RequestPool worker, pre-dispatch   `unavailable` envelope
 //   socket_write      TCP write_line, per send() call    send clamped to one

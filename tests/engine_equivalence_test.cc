@@ -365,6 +365,106 @@ TEST(SimPlanDifferential, StructuralMutationInvalidatesCompatibility) {
   ExpectSameResult(ReferenceScan(structural), plan.Run());
 }
 
+// ---- Deterministic structure stamps: one structure block per what-if family ----
+
+// Every multi-GPU `distributed` config inserts one all-reduce per gradient
+// bucket, whatever the cluster: the clones receive the same mutation sequence,
+// so they carry one stamp and differ only in the all-reduce durations.
+std::vector<ClusterConfig> MultiGpuClusters() {
+  std::vector<ClusterConfig> clusters;
+  for (const auto& [machines, gpus, gbps] :
+       std::vector<std::tuple<int, int, double>>{{2, 1, 10.0}, {2, 2, 25.0}, {4, 2, 40.0},
+                                                 {8, 8, 100.0}}) {
+    ClusterConfig cluster;
+    cluster.machines = machines;
+    cluster.gpus_per_machine = gpus;
+    cluster.network.bandwidth_gbps = gbps;
+    clusters.push_back(cluster);
+  }
+  return clusters;
+}
+
+DependencyGraph DistributedClone(const Daydream& daydream, const ClusterConfig& cluster) {
+  DependencyGraph graph = daydream.CloneGraph();
+  DistributedWhatIf options;
+  options.cluster = cluster;
+  WhatIfDistributed(&graph, daydream.trace().gradients(), options);
+  return graph;
+}
+
+TEST(StructureStamp, MultiGpuDistributedConfigsShareOneStructure) {
+  for (ModelId model : PaperModels()) {
+    SCOPED_TRACE(ModelName(model));
+    const Daydream daydream(CachedTrace(model));
+    std::vector<DependencyGraph> family;
+    for (const ClusterConfig& cluster : MultiGpuClusters()) {
+      family.push_back(DistributedClone(daydream, cluster));
+      EXPECT_EQ(family.back().structure_stamp(), family.front().structure_stamp())
+          << cluster.Label();
+    }
+    EXPECT_NE(family.front().structure_stamp(), daydream.graph().structure_stamp());
+
+    // Each config retimed over the first config's plan answers exactly what a
+    // fresh compile and the Algorithm-1 oracle answer.
+    const SimPlan donor = daydream.Plan(family.front());
+    for (size_t i = 1; i < family.size(); ++i) {
+      bool retimed = false;
+      const SimPlan plan = daydream.Plan(family[i], &retimed, &donor);
+      EXPECT_TRUE(retimed);
+      const SimResult reference = ReferenceScan(family[i]);
+      ExpectSameResult(reference, plan.Run());
+      ExpectSameResult(reference, SimPlan::Compile(family[i]).Run());
+    }
+  }
+}
+
+TEST(StructureStamp, OtherWhatIfsStayOutOfTheDistributedFamily) {
+  for (ModelId model : PaperModels()) {
+    SCOPED_TRACE(ModelName(model));
+    const Daydream daydream(CachedTrace(model));
+    const uint64_t family = DistributedClone(daydream, MultiGpuClusters().front()).structure_stamp();
+
+    // A 1-GPU cluster inserts nothing: it keeps the baseline structure.
+    const DependencyGraph single = DistributedClone(daydream, ClusterConfig{});
+    EXPECT_EQ(single.structure_stamp(), daydream.graph().structure_stamp());
+    EXPECT_NE(single.structure_stamp(), family);
+
+    DependencyGraph fused = daydream.CloneGraph();
+    WhatIfFusedAdam(&fused);
+    EXPECT_NE(fused.structure_stamp(), family);
+
+    DependencyGraph gist = daydream.CloneGraph();
+    WhatIfGist(&gist, BuildModel(model));
+    EXPECT_NE(gist.structure_stamp(), family);
+  }
+}
+
+TEST(StructureStamp, EqualMutationSequencesGiveEqualStampsAndUndoDoesNot) {
+  DependencyGraph graph;
+  std::vector<TaskId> ids;
+  for (int i = 0; i < 3; ++i) {
+    Task t;
+    t.type = TaskType::kGpu;
+    t.thread = ExecThread::Gpu(0);
+    t.duration = Us(10);
+    ids.push_back(graph.AddTask(std::move(t)));
+  }
+  const uint64_t before = graph.structure_stamp();
+
+  DependencyGraph twin = graph.Clone();
+  graph.AddEdge(ids[0], ids[2]);
+  const uint64_t added = graph.structure_stamp();
+  EXPECT_NE(added, before);
+  twin.AddEdge(ids[0], ids[2]);
+  EXPECT_EQ(twin.structure_stamp(), added);  // same sequence, same stamp
+
+  // The edge is gone again, but the fold is not invertible: a plan compiled
+  // before the round trip is not silently reused.
+  graph.RemoveEdge(ids[0], ids[2]);
+  EXPECT_NE(graph.structure_stamp(), before);
+  EXPECT_NE(graph.structure_stamp(), added);
+}
+
 TEST(SimPlanDifferential, RandomGraphRetime) {
   std::mt19937 rng(4242);
   for (int seed = 1; seed <= 8; ++seed) {

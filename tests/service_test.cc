@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/optimizations/optimizations.h"
@@ -205,6 +206,35 @@ TEST_F(TraceSessionTest, DifferentClustersAreDifferentCacheEntries) {
   EXPECT_LE(b.prediction.predicted, a.prediction.predicted);  // 40 Gbps >= 10
 }
 
+TEST_F(TraceSessionTest, DistributedFamilyCompilesOnceThenRetimes) {
+  // Every multi-GPU `distributed` config has one graph structure; only the
+  // all-reduce durations differ. The first miss compiles, every later config
+  // retimes over a cached plan — and answers exactly what a fresh session
+  // answers.
+  std::shared_ptr<TraceSession> session = NewSession();
+  const std::vector<std::tuple<int, int, double>> clusters = {
+      {2, 1, 10.0}, {2, 2, 25.0}, {4, 2, 40.0}, {8, 8, 100.0}};
+  for (const auto& [machines, gpus, gbps] : clusters) {
+    WhatIfRequest request;
+    request.what_if = "distributed";
+    request.cluster.machines = machines;
+    request.cluster.gpus_per_machine = gpus;
+    request.cluster.network.bandwidth_gbps = gbps;
+    PredictOutcome warm, fresh;
+    std::string error;
+    ASSERT_EQ(session->Predict(request, &warm, &error), SessionStatus::kOk) << error;
+    EXPECT_FALSE(warm.plan_cache_hit);
+    ASSERT_EQ(NewSession()->Predict(request, &fresh, &error), SessionStatus::kOk) << error;
+    EXPECT_EQ(warm.prediction.predicted, fresh.prediction.predicted) << request.Signature();
+    EXPECT_EQ(warm.tasks, fresh.tasks);
+  }
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.misses, clusters.size());
+  EXPECT_EQ(stats.compiles, 1u);
+  EXPECT_EQ(stats.retimes, clusters.size() - 1);
+  EXPECT_EQ(session->plan_cache_size(), clusters.size());
+}
+
 TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   SessionOptions options;
   options.plan_cache_capacity = 1;
@@ -217,8 +247,8 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   std::string error;
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(dist, &outcome, &error), SessionStatus::kOk) << error;
-  // dist evicted amp's transform (capacity 1), which erased amp's plan — so
-  // the repeat must rebuild instead of serving a stale hit.
+  // dist evicted amp's entry (capacity 1), and with it amp's plan — so the
+  // repeat must rebuild instead of serving a stale hit.
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
   EXPECT_FALSE(outcome.plan_cache_hit);
   const PlanCacheStats stats = session->plan_cache_stats();
@@ -229,8 +259,8 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
 TEST_F(TraceSessionTest, TransformEvictionKeepsOtherTimingOnlyPlans) {
   // On ResNet-50, amp and the default 1x1 distributed are both timing-only:
   // their transformed graphs keep the baseline's structure stamp. Evicting
-  // amp's transform must drop amp's plan alone — and count as an eviction —
-  // not every plan cached under that shared stamp.
+  // amp's entry must drop amp's plan alone — and count as an eviction — not
+  // every plan cached under that shared stamp.
   SessionOptions options;
   options.plan_cache_capacity = 2;
   std::string error;
@@ -247,10 +277,10 @@ TEST_F(TraceSessionTest, TransformEvictionKeepsOtherTimingOnlyPlans) {
   EXPECT_FALSE(predict_hits("amp"));
   EXPECT_FALSE(predict_hits("distributed"));
   EXPECT_TRUE(predict_hits("distributed"));
-  EXPECT_FALSE(predict_hits("gist"));  // evicts amp's transform (capacity 2)
+  EXPECT_FALSE(predict_hits("gist"));  // evicts amp's entry (capacity 2)
   EXPECT_EQ(session->plan_cache_size(), 2u);
   EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
-  // distributed's transformed graph is still cached, and so is its plan.
+  // distributed's plan is still cached.
   EXPECT_TRUE(predict_hits("distributed"));
 }
 
@@ -330,7 +360,7 @@ TEST_F(TraceSessionTest, ConcurrentMissesOnOneSignatureKeepOneEntry) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST_F(TraceSessionTest, DroppedPlanStoreKeepsTheGraphButNotThePlan) {
+TEST_F(TraceSessionTest, DroppedPlanStoreKeepsNothing) {
   SessionOptions options;
   options.plan_cache_capacity = 1;
   std::shared_ptr<TraceSession> session = NewSession(options);
@@ -358,8 +388,8 @@ TEST_F(TraceSessionTest, DroppedPlanStoreKeepsTheGraphButNotThePlan) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.retimes + stats.compiles, 0u);
 
-  // The entry kept its graph: the next query misses only the plan and fills
-  // it; the one after hits.
+  // Nothing was kept: the next query misses again, rebuilds and stores its
+  // plan; the one after hits.
   EXPECT_FALSE(predict("amp", false).plan_cache_hit);
   const PredictOutcome warm = predict("amp", false);
   EXPECT_TRUE(warm.plan_cache_hit);
@@ -371,15 +401,16 @@ TEST_F(TraceSessionTest, DroppedPlanStoreKeepsTheGraphButNotThePlan) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.retimes, 1u);
 
-  // Evictions count only entries that held a plan: dropping fused_adam's
-  // store evicts amp's entry (one eviction), and gist then evicts
-  // fused_adam's plan-less entry (none).
-  predict("fused_adam", /*drop_store=*/true);
-  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
-  EXPECT_EQ(session->plan_cache_size(), 0u);
+  // A dropped store inserts no entry, so it evicts nothing: amp survives
+  // fused_adam's dropped store and is evicted (one eviction) by gist's.
+  EXPECT_FALSE(predict("fused_adam", /*drop_store=*/true).plan_cache_hit);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 0u);
+  EXPECT_TRUE(predict("amp", false).plan_cache_hit);
   predict("gist", false);
   EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
   EXPECT_EQ(session->plan_cache_size(), 1u);
+  EXPECT_FALSE(predict("amp", false).plan_cache_hit);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 2u);
 }
 
 TEST_F(TraceSessionTest, P3NeedsATwoIterationTrace) {
@@ -440,6 +471,42 @@ TEST_F(TraceSessionTest, ValidatedPredictRunsTheFullCatalog) {
   PredictOutcome outcome;
   std::string error;
   EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+}
+
+TEST_F(TraceSessionTest, ValidateOnACachedSignatureHitsAndRunsTheFullCatalog) {
+  std::shared_ptr<TraceSession> session = NewSession();
+  WhatIfRequest request;
+  request.what_if = "amp";
+  PredictOutcome cold, validated;
+  std::string error;
+  ASSERT_EQ(session->Predict(request, &cold, &error), SessionStatus::kOk) << error;
+  request.validate = true;
+  ASSERT_EQ(session->Predict(request, &validated, &error), SessionStatus::kOk) << error;
+  EXPECT_TRUE(validated.plan_cache_hit);
+  EXPECT_EQ(validated.prediction.predicted, cold.prediction.predicted);
+  EXPECT_EQ(validated.tasks, cold.tasks);
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // The hit still lints a fresh transform with the full catalog: a negative
+  // kernel duration passes the structural lint a plain miss runs, so the
+  // unvalidated query caches a plan, yet the validated one is refused by
+  // duration-sanity.
+  Trace negative = *trace_;
+  for (TraceEvent& event : negative.mutable_events()) {
+    if (event.kind == EventKind::kKernel) {
+      event.duration = -Us(1);
+      break;
+    }
+  }
+  std::shared_ptr<TraceSession> tainted = TraceSession::Create(negative, SessionOptions{}, &error);
+  ASSERT_NE(tainted, nullptr) << error;
+  request.validate = false;
+  ASSERT_EQ(tainted->Predict(request, &cold, &error), SessionStatus::kOk) << error;
+  request.validate = true;
+  EXPECT_EQ(tainted->Predict(request, &validated, &error), SessionStatus::kLintFailed);
+  EXPECT_NE(error.find("duration-sanity"), std::string::npos) << error;
 }
 
 TEST_F(TraceSessionTest, LintCleanGraphRunsPlanPasses) {
