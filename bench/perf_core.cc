@@ -21,7 +21,7 @@
 //   - transform: WhatIfDistributed through the intrusive/indexed mutation
 //     layer vs a frozen transcription of the pre-change one (>= 5x).
 // Plus an end-to-end `sweep_cluster` cases/sec row demonstrating the
-// amortized setup (shared baseline plan, pipelined clone+transform), and a
+// amortized setup (shared baseline plan, one case per pool worker), and a
 // `dispatch_plan_cluster_parallel` row — sharded dispatch vs the serial plan
 // engine (>= 3x, enforced only on hosts with >= 8 hardware threads), and a
 // `transform_fused_adam` row for batch task removal.
@@ -617,8 +617,8 @@ int Main(int argc, char** argv) {
   rows.push_back({"shard_plan_compile", shard_compile_ms});
   rows.push_back({"dispatch_plan_cluster_parallel", parallel_ms, par_jobs});
 
-  // End-to-end cluster-scale sweep: one shared baseline plan, pipelined
-  // clone+transform+compile against in-flight simulations. The case mix
+  // End-to-end cluster-scale sweep: one shared baseline plan, each case's
+  // clone+transform+compile+dispatch on one pool worker. The case mix
   // exercises both plan paths — `amp` is timing-only (retimes the shared
   // structure), the distributed cases are structural (full compile).
   std::vector<SweepCase> sweep_cases;

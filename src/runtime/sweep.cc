@@ -1,9 +1,8 @@
 #include "src/runtime/sweep.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -112,162 +111,71 @@ bool ResolveWhatIf(const WhatIfRequest& request, const Trace& trace,
   return true;
 }
 
-// One case through the prepare stage: the compiled plan only — the
-// transformed clone is freed as soon as its plan exists.
-struct SweepRunner::Prepared {
-  size_t index = 0;
-  int tasks = 0;
-  SimPlan plan;
-};
-
 SweepRunner::SweepRunner(const Daydream& daydream, SweepOptions options)
     : daydream_(daydream), options_(options) {}
 
-SweepRunner::Prepared SweepRunner::Prepare(const SweepCase& sweep_case, size_t index) const {
-  Prepared prepared;
-  prepared.index = index;
+SweepOutcome SweepRunner::RunCase(const SweepCase& sweep_case, ThreadPool* pool) const {
+  SweepOutcome outcome;
+  outcome.name = sweep_case.name;
+  outcome.prediction.baseline = daydream_.BaselineSimTime();
+  const int sim_jobs = std::max(options_.sim_jobs, 1);
   // Structural verification is non-negotiable — a malformed graph aborts
   // deep inside the engine with no context. --validate escalates to the full
   // lint catalog (timing + smell passes) and reports every finding at once.
   LintReport report;
-  const DependencyGraph transformed =
+  std::optional<DependencyGraph> transformed =
       daydream_.Transform(sweep_case.transform, options_.validate, &report);
   DD_CHECK(report.ok()) << "sweep case '" << sweep_case.name
                         << "' produced an invalid graph:\n"
                         << report.ToString();
-  prepared.tasks = transformed.num_alive();
-  prepared.plan = daydream_.Plan(transformed);
+  outcome.tasks = transformed->num_alive();
+  const SimPlan plan = daydream_.Plan(*transformed);
   if (options_.validate) {
-    const LintReport plan_report = GraphLint::LintPlan(prepared.plan, transformed);
+    const LintReport plan_report = GraphLint::LintPlan(plan, *transformed);
     DD_CHECK(plan_report.ok()) << "sweep case '" << sweep_case.name
                                << "' compiled an inconsistent plan:\n"
                                << plan_report.ToString();
-    if (options_.sim_jobs > 1) {
+    if (sim_jobs > 1) {
       // Sharded dispatch trusts the partition/window metadata blindly;
-      // strict mode verifies it per case. The lint-only shard plan is
-      // rebuilt at dispatch (it must reference the plan's final address).
-      const ShardPlan shards = ShardPlan::Compile(prepared.plan, options_.sim_jobs);
-      const LintReport shard_report = GraphLint::LintShards(shards);
+      // strict mode verifies it per case.
+      const LintReport shard_report = GraphLint::LintShards(ShardPlan::Compile(plan, sim_jobs));
       DD_CHECK(shard_report.ok()) << "sweep case '" << sweep_case.name
                                   << "' compiled an inconsistent shard plan:\n"
                                   << shard_report.ToString();
     }
   }
-  // The plan is self-contained: the clone dies here, before simulation, so a
-  // prepared-but-unsimulated case holds plan-sized, not graph-sized, memory.
-  return prepared;
+  // The plan is self-contained: the clone dies before dispatch, so a case
+  // holds plan-sized, not graph-sized, memory while it simulates.
+  transformed.reset();
+  outcome.prediction.predicted = RunPlanParallel(plan, sim_jobs, pool).makespan;
+  return outcome;
 }
 
 std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
                                            bool* deadline_exceeded) const {
-  if (deadline_exceeded != nullptr) {
-    *deadline_exceeded = false;
-  }
-  std::vector<SweepOutcome> outcomes(cases.size());
-  if (cases.empty()) {
-    return outcomes;
-  }
-  const bool bounded = options_.deadline.bounded();
-  // One thread budget covers both parallelism levels: sim_jobs > 1 trades
-  // case-level width for per-case sharded dispatch (workers ~ budget /
-  // sim_jobs; the freed threads become the shared shard pool), so cases ×
-  // shards never oversubscribes the requested thread count.
   int budget = options_.num_threads;
   if (budget <= 0) {
     budget = static_cast<int>(std::thread::hardware_concurrency());
   }
-  budget = std::max(budget, 1);
-  const int sim_jobs = std::max(options_.sim_jobs, 1);
-  std::unique_ptr<ThreadPool> shard_pool;
-  if (sim_jobs > 1) {
-    shard_pool = std::make_unique<ThreadPool>(std::max(budget - std::max(budget / sim_jobs, 1), 0));
-  }
-
-  auto record = [&](Prepared* prepared, const SweepCase& sweep_case) {
-    SweepOutcome& out = outcomes[prepared->index];
-    out.name = sweep_case.name;
-    out.tasks = prepared->tasks;
-    out.prediction.baseline = daydream_.BaselineSimTime();
-    out.prediction.predicted =
-        RunPlanParallel(prepared->plan, sim_jobs, shard_pool.get()).makespan;
-  };
-
-  const int workers = std::clamp(budget / sim_jobs, 1, static_cast<int>(cases.size()));
-
-  // Two-stage pipeline over one worker pool: each worker drains ready plans
-  // first (simulation is the stage that retires cases) and otherwise claims
-  // the next case to prepare. `depth` bounds prepared-but-unsimulated cases
-  // so a fast prepare stage cannot balloon memory. The calling thread is
-  // one of the workers; alone, it prepares and simulates in case order.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Prepared> ready;
-  size_t next_case = 0;
-  size_t simulated = 0;
-  size_t preparing = 0;
-  bool deadline_hit = false;
-  const size_t depth = static_cast<size_t>(workers) + 2;
-
-  auto work = [&]() {
-    std::unique_lock<std::mutex> lock(mu);
-    while (simulated < cases.size()) {
-      // Cooperative cancellation: an expired budget abandons unclaimed cases
-      // and drains already-prepared ones unrecorded. Cases mid-Prepare still
-      // finish (preparers count themselves as simulated on re-entry).
-      if (bounded && !deadline_hit && options_.deadline.Expired()) {
-        deadline_hit = true;
-        simulated += (cases.size() - next_case) + ready.size();
-        next_case = cases.size();
-        ready.clear();
-        cv.notify_all();
-        continue;
-      }
-      if (!ready.empty()) {
-        Prepared prepared = std::move(ready.front());
-        ready.pop_front();
-        cv.notify_all();  // queue space freed for preparers
-        lock.unlock();
-        record(&prepared, cases[prepared.index]);
-        lock.lock();
-        if (++simulated == cases.size()) {
-          cv.notify_all();
-        }
-        continue;
-      }
-      if (next_case < cases.size() && ready.size() + preparing < depth) {
-        const size_t i = next_case++;
-        ++preparing;
-        lock.unlock();
-        Prepared prepared = Prepare(cases[i], i);
-        lock.lock();
-        --preparing;
-        if (deadline_hit) {
-          // The budget expired while this case was being prepared: retire it
-          // unrecorded instead of feeding the abandoned simulate stage.
-          if (++simulated == cases.size()) {
-            cv.notify_all();
-          }
-        } else {
-          ready.push_back(std::move(prepared));
-          cv.notify_all();
-        }
-        continue;
-      }
-      cv.wait(lock);
+  // The caller joins every ParallelFor, so the pool plus the caller is the
+  // whole budget. A sharded case dispatch nests its shards on the same pool,
+  // so cases × shards never exceeds it; a matrix narrower than the budget
+  // keeps threads for its shards.
+  const int64_t width = static_cast<int64_t>(cases.size()) * std::max(options_.sim_jobs, 1);
+  ThreadPool pool(static_cast<int>(std::min<int64_t>(budget, width)) - 1);
+  std::vector<SweepOutcome> outcomes(cases.size());
+  std::atomic<bool> expired{false};
+  pool.ParallelFor(static_cast<int>(cases.size()), [&](int i) {
+    // Cooperative cancellation: cases claimed after the budget expires stay
+    // blank; cases already running finish.
+    if (options_.deadline.Expired()) {
+      expired.store(true, std::memory_order_relaxed);
+      return;
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) {
-    pool.emplace_back(work);
-  }
-  work();
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  if (deadline_hit && deadline_exceeded != nullptr) {
-    *deadline_exceeded = true;
+    outcomes[i] = RunCase(cases[i], &pool);
+  });
+  if (deadline_exceeded != nullptr) {
+    *deadline_exceeded = expired.load(std::memory_order_relaxed);
   }
   return outcomes;
 }
@@ -327,6 +235,14 @@ void RankBySpeedup(std::vector<SweepOutcome>* outcomes) {
   });
 }
 
+std::string SweepOutcomeJson(const SweepOutcome& outcome) {
+  return StrFormat(
+      "{\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
+      "\"speedup_ratio\": %.3f, \"tasks\": %d}",
+      JsonEscape(outcome.name).c_str(), ToMs(outcome.prediction.predicted),
+      outcome.prediction.SpeedupPct(), outcome.prediction.SpeedupRatio(), outcome.tasks);
+}
+
 std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes) {
   std::ostringstream os;
   os << "{\n";
@@ -337,12 +253,7 @@ std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes) {
   }
   os << "  \"cases\": [\n";
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    const SweepOutcome& o = outcomes[i];
-    os << StrFormat(
-        "    {\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
-        "\"speedup_ratio\": %.3f, \"tasks\": %d}%s\n",
-        JsonEscape(o.name).c_str(), ToMs(o.prediction.predicted), o.prediction.SpeedupPct(),
-        o.prediction.SpeedupRatio(), o.tasks, i + 1 < outcomes.size() ? "," : "");
+    os << "    " << SweepOutcomeJson(outcomes[i]) << (i + 1 < outcomes.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";
   return os.str();

@@ -3,28 +3,24 @@
 // A SweepRunner evaluates a matrix of optimization × cluster configurations
 // against one parsed trace. The expensive per-trace work (parsing, dependency
 // graph construction, baseline simulation, baseline plan compilation) happens
-// exactly once, in the shared Daydream instance. Each sweep case is then a
-// two-stage pipeline job over Daydream's two prediction steps:
+// exactly once, in the shared Daydream instance. Each sweep case then runs
+// Daydream's prediction steps end to end on one worker:
 //
-//   prepare:  Daydream::Transform (clone the baseline graph, apply the
-//             transformation, lint), then Daydream::Plan — timing-only
-//             transformations (duration / gap / priority edits — AMP-style
-//             scaling) retime the shared baseline plan instead of recompiling
-//             its CSR structure (DependencyGraph::structure_stamp() certifies
-//             this). Structural cases compile their own plan each, even when
-//             they share one structure (several multi-GPU `distributed`
-//             configs); only the serve session cache retimes a family over
-//             one cached plan. The clone is released as soon as the plan
-//             exists, so a prepared case holds plan-sized memory, not
-//             graph-sized memory.
-//   simulate: dispatch the compiled plan (RunPlanParallel).
+//   Daydream::Transform (clone the baseline graph, apply the transformation,
+//   lint), then Daydream::Plan — timing-only transformations (duration / gap /
+//   priority edits — AMP-style scaling) retime the shared baseline plan
+//   instead of recompiling its CSR structure (DependencyGraph::structure_stamp()
+//   certifies this). Structural cases compile their own plan each, even when
+//   they share one structure (several multi-GPU `distributed` configs); only
+//   the serve session cache retimes a family over one cached plan. The clone
+//   is released as soon as the plan exists, and the plan is dispatched
+//   (RunPlanParallel).
 //
-// Workers interleave the two stages from a shared queue with a bounded number
-// of prepared-but-unsimulated cases in flight: a case's clone+transform
-// overlaps other cases' simulations instead of serializing in front of its
-// own, which is what makes wide sweep matrices approach full-machine
-// throughput (§7.1's workflow: the profile is collected once, and every
-// question asked of it is cheap).
+// Cases are claimed one at a time from a single ThreadPool sized to the
+// thread budget; a sharded dispatch (sim_jobs > 1) nests its shards on the
+// same pool, so every core stays busy and cases × shards never exceeds the
+// budget (§7.1's workflow: the profile is collected once, and every question
+// asked of it is cheap).
 //
 // This header also holds the one what-if resolver (ResolveWhatIf): sweep
 // case construction and the service layer's single predictions map what-if
@@ -95,10 +91,8 @@ struct SweepOptions {
   // Worker threads; 0 = one per hardware thread (at least 1).
   int num_threads = 0;
   // Shards per case simulation (sharded parallel dispatch; 1 = the serial
-  // engine). The thread budget is shared, not multiplied: with B total
-  // threads the runner uses ~B/sim_jobs case workers and pools the rest for
-  // shard dispatch, so cases × shards never oversubscribes the machine.
-  // Worth > 1 only when the matrix is narrower than the machine — at full
+  // engine). Shards share the case workers' pool, so they add no threads:
+  // worth > 1 only when the matrix is narrower than the machine — at full
   // case-width, case-level parallelism already saturates every core.
   int sim_jobs = 1;
   // Strict verification (`daydream sweep --validate`): every transformed
@@ -131,9 +125,9 @@ class SweepRunner {
                                 bool* deadline_exceeded = nullptr) const;
 
  private:
-  struct Prepared;
-
-  Prepared Prepare(const SweepCase& sweep_case, size_t index) const;
+  // Transform → lint → plan → dispatch for one case; a sharded dispatch
+  // runs its shards on `pool`.
+  SweepOutcome RunCase(const SweepCase& sweep_case, ThreadPool* pool) const;
 
   const Daydream& daydream_;
   SweepOptions options_;
@@ -166,7 +160,9 @@ bool AppendPipelineSweep(std::vector<SweepCase>* cases, const Trace& trace,
 // Sorts outcomes best-first: predicted makespan ascending, ties by name.
 void RankBySpeedup(std::vector<SweepOutcome>* outcomes);
 
-// Serialization for the CLI and CI artifacts.
+// Serialization for the CLI, the serve `sweep` verb and CI artifacts: one
+// outcome as a one-line JSON object, and the whole report around it.
+std::string SweepOutcomeJson(const SweepOutcome& outcome);
 std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes);
 bool WriteSweepCsv(const std::vector<SweepOutcome>& outcomes, const std::string& path);
 

@@ -498,49 +498,18 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
   }
 
   if (verb == "sweep") {
-    std::string error;
-    const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, &error);
-    if (!clusters.has_value()) {
-      response.line = ErrorResponse(id, "bad_request", error);
-      return response;
-    }
-    const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
-    if (!jobs.has_value() || *jobs < 0) {
-      response.line = ErrorResponse(
-          id, "bad_request",
-          "bad jobs '" + args.Get("jobs") + "' (expected a non-negative integer)");
-      return response;
-    }
-    const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, &error);
-    if (!pipeline.has_value()) {
-      response.line = ErrorResponse(id, "bad_request", error);
-      return response;
-    }
-    std::vector<SweepCase> cases = BuildStandardSweep(session->trace(), *clusters);
-    if (pipeline->enabled) {
-      PipelineSweepSpec spec;
-      spec.stages = pipeline->stages;
-      spec.microbatches = pipeline->microbatches;
-      spec.schedules = pipeline->schedules;
-      spec.network = pipeline->network;
-      if (!AppendPipelineSweep(&cases, session->trace(), spec)) {
-        response.line = ErrorResponse(
-            id, "bad_request", "trace lacks a known model name (needed for pipeline_stages)");
-        return response;
-      }
-    }
-    const std::optional<int> sim_jobs =
-        ParseInt(args.Get("sim-jobs", StrFormat("%d", default_sim_jobs_)));
-    if (!sim_jobs.has_value() || *sim_jobs < 1) {
-      response.line = ErrorResponse(
-          id, "bad_request",
-          "bad sim_jobs '" + args.Get("sim-jobs") + "' (expected a positive integer)");
-      return response;
-    }
+    std::vector<SweepCase> cases;
     SweepOptions options;
-    options.num_threads = *jobs;
-    options.validate = args.Has("validate");
-    options.sim_jobs = std::clamp(*sim_jobs, 1, sim_jobs_cap_);
+    std::string error;
+    if (!ParseSweepRequest(args, session->trace(), &cases, &options, &error)) {
+      response.line = ErrorResponse(id, "bad_request", error);
+      return response;
+    }
+    // The daemon's shard default and thread-budget clamp, as for predict.
+    if (!args.Has("sim-jobs")) {
+      options.sim_jobs = default_sim_jobs_;
+    }
+    options.sim_jobs = std::clamp(options.sim_jobs, 1, sim_jobs_cap_);
     options.deadline = deadline;
     bool sweep_expired = false;
     std::vector<SweepOutcome> outcomes = session->Sweep(cases, options, &sweep_expired);
@@ -558,11 +527,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       if (list.size() > 1) {
         list += ", ";
       }
-      list += StrFormat("{\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
-                        "\"speedup_ratio\": %.3f, \"tasks\": %d}",
-                        JsonEscape(outcome.name).c_str(), ToMs(outcome.prediction.predicted),
-                        outcome.prediction.SpeedupPct(), outcome.prediction.SpeedupRatio(),
-                        outcome.tasks);
+      list += SweepOutcomeJson(outcome);
     }
     list += "]";
     writer.AddRaw("cases", list);

@@ -17,8 +17,8 @@
 //     the baseline's) — and a full CSR compile only for a new structure.
 //   - PredictP3 answers the p3 what-if, which is not a graph transform (it
 //     reports the steady-state parameter-server iteration).
-//   - Sweep runs a case matrix through the existing SweepRunner pipeline over
-//     this session's shared Daydream instance.
+//   - Sweep runs a case matrix through SweepRunner over this session's shared
+//     Daydream instance.
 //   - Lint runs the GraphLint catalog over the session graph (optionally
 //     after a what-if transform) plus the compiled plan.
 //

@@ -2,10 +2,10 @@
 //
 // The sharded dispatch engine (src/core/event_engine.cc) fans each
 // synchronization round out over shards, and SweepRunner fans cases out over
-// workers — and a case may itself run sharded. Naive per-layer thread
-// spawning would multiply: `cases x shards` threads for a budget of
-// `hardware_concurrency`. This pool makes the budget explicit and nesting
-// safe:
+// one pool — and a case may itself run sharded on that same pool. Naive
+// per-layer thread spawning would multiply: `cases x shards` threads for a
+// budget of `hardware_concurrency`. This pool makes the budget explicit and
+// nesting safe:
 //   - ParallelFor is caller-participating: the calling thread claims indices
 //     alongside the pool's workers, so a ParallelFor issued from inside
 //     another ParallelFor body (or from a pool with zero threads) always

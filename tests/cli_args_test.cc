@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "src/runtime/ground_truth.h"
 
 namespace daydream {
 namespace {
@@ -73,10 +76,11 @@ TEST(ParseDouble, RejectsGarbage) {
 }
 
 TEST(ParseCluster, ParsesShapeAndBandwidth) {
+  std::string error;
   Args args;
   args.flags["cluster"] = "4x2";
   args.flags["gbps"] = "25";
-  const std::optional<ClusterConfig> cluster = ParseCluster(args);
+  const std::optional<ClusterConfig> cluster = ParseCluster(args, &error);
   ASSERT_TRUE(cluster.has_value());
   EXPECT_EQ(cluster->machines, 4);
   EXPECT_EQ(cluster->gpus_per_machine, 2);
@@ -84,7 +88,8 @@ TEST(ParseCluster, ParsesShapeAndBandwidth) {
 }
 
 TEST(ParseCluster, DefaultsWhenFlagsAbsent) {
-  const std::optional<ClusterConfig> cluster = ParseCluster(Args{});
+  std::string error;
+  const std::optional<ClusterConfig> cluster = ParseCluster(Args{}, &error);
   ASSERT_TRUE(cluster.has_value());
   EXPECT_EQ(cluster->machines, 4);
   EXPECT_EQ(cluster->gpus_per_machine, 1);
@@ -92,24 +97,27 @@ TEST(ParseCluster, DefaultsWhenFlagsAbsent) {
 }
 
 TEST(ParseCluster, RejectsMalformedShape) {
+  std::string error;
   for (const char* bad : {"4xa", "ax2", "4", "4x2x1", "0x2", "4x0", "-1x2", ""}) {
     Args args;
     args.flags["cluster"] = bad;
-    EXPECT_FALSE(ParseCluster(args).has_value()) << "--cluster " << bad;
+    EXPECT_FALSE(ParseCluster(args, &error).has_value()) << "--cluster " << bad;
   }
 }
 
 TEST(ParseCluster, RejectsMalformedBandwidth) {
+  std::string error;
   for (const char* bad : {"fast", "0", "-5", "10Gbps"}) {
     Args args;
     args.flags["cluster"] = "4x2";
     args.flags["gbps"] = bad;
-    EXPECT_FALSE(ParseCluster(args).has_value()) << "--gbps " << bad;
+    EXPECT_FALSE(ParseCluster(args, &error).has_value()) << "--gbps " << bad;
   }
 }
 
 TEST(ParseClusterList, DefaultsToFourShapesAtTenGbps) {
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(Args{});
+  std::string error;
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(Args{}, &error);
   ASSERT_TRUE(clusters.has_value());
   ASSERT_EQ(clusters->size(), 4u);
   EXPECT_EQ((*clusters)[0].machines, 2);
@@ -122,10 +130,11 @@ TEST(ParseClusterList, DefaultsToFourShapesAtTenGbps) {
 }
 
 TEST(ParseClusterList, CrossProductOfShapesAndBandwidths) {
+  std::string error;
   Args args;
   args.flags["cluster"] = "2x2,4x4";
   args.flags["gbps"] = "10,25,40";
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args);
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, &error);
   ASSERT_TRUE(clusters.has_value());
   ASSERT_EQ(clusters->size(), 6u);
   EXPECT_EQ((*clusters)[0].machines, 2);
@@ -136,29 +145,32 @@ TEST(ParseClusterList, CrossProductOfShapesAndBandwidths) {
 }
 
 TEST(ParseClusterList, RejectsAnyBadEntry) {
+  std::string error;
   for (const char* bad : {"2x2,4xa", "2x2,", ",2x2", "0x1"}) {
     Args args;
     args.flags["cluster"] = bad;
-    EXPECT_FALSE(ParseClusterList(args).has_value()) << "--cluster " << bad;
+    EXPECT_FALSE(ParseClusterList(args, &error).has_value()) << "--cluster " << bad;
   }
   Args args;
   args.flags["cluster"] = "2x2";
   args.flags["gbps"] = "10,zoom";
-  EXPECT_FALSE(ParseClusterList(args).has_value());
+  EXPECT_FALSE(ParseClusterList(args, &error).has_value());
 }
 
 TEST(ParsePipelineFlags, DisabledWhenStagesAbsent) {
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(Args{});
+  std::string error;
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(Args{}, &error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_FALSE(flags->enabled);
 }
 
 TEST(ParsePipelineFlags, ParsesStagesMicrobatchesAndSchedule) {
+  std::string error;
   Args args;
   args.flags["pipeline-stages"] = "2,4,8";
   args.flags["microbatches"] = "16";
   args.flags["schedule"] = "gpipe";
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args);
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args, &error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_TRUE(flags->enabled);
   EXPECT_EQ(flags->stages, (std::vector<int>{2, 4, 8}));
@@ -168,37 +180,40 @@ TEST(ParsePipelineFlags, ParsesStagesMicrobatchesAndSchedule) {
 }
 
 TEST(ParsePipelineFlags, DefaultsToFourMicrobatchesAndBothSchedules) {
+  std::string error;
   Args args;
   args.flags["pipeline-stages"] = "2";
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args);
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args, &error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_EQ(flags->microbatches, 4);
   EXPECT_TRUE(flags->schedules.empty());  // empty = both kinds
 }
 
 TEST(ParsePipelineFlags, RejectsMalformedValues) {
+  std::string error;
   for (const char* bad : {"0", "-2", "2,", "2,x", "fast"}) {
     Args args;
     args.flags["pipeline-stages"] = bad;
-    EXPECT_FALSE(ParsePipelineFlags(args).has_value()) << "--pipeline-stages " << bad;
+    EXPECT_FALSE(ParsePipelineFlags(args, &error).has_value()) << "--pipeline-stages " << bad;
   }
   Args bad_mb;
   bad_mb.flags["pipeline-stages"] = "2";
   bad_mb.flags["microbatches"] = "0";
-  EXPECT_FALSE(ParsePipelineFlags(bad_mb).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(bad_mb, &error).has_value());
   Args bad_schedule;
   bad_schedule.flags["pipeline-stages"] = "2";
   bad_schedule.flags["schedule"] = "warp";
-  EXPECT_FALSE(ParsePipelineFlags(bad_schedule).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(bad_schedule, &error).has_value());
 }
 
 TEST(ParsePipelineFlags, ScheduleWithoutStagesIsAnError) {
+  std::string error;
   Args args;
   args.flags["schedule"] = "1f1b";
-  EXPECT_FALSE(ParsePipelineFlags(args).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(args, &error).has_value());
   Args mb;
   mb.flags["microbatches"] = "4";
-  EXPECT_FALSE(ParsePipelineFlags(mb).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(mb, &error).has_value());
 }
 
 
@@ -310,6 +325,65 @@ TEST(ParseWhatIfRequest, RejectsMalformedClusterFlags) {
   std::string error;
   EXPECT_FALSE(ParseWhatIfRequest(args, &request, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ParseSweepRequest, BuildsTheMatrixAndOptions) {
+  const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
+  std::vector<SweepCase> cases;
+  SweepOptions options;
+  std::string error;
+  ASSERT_TRUE(ParseSweepRequest(Args{}, trace, &cases, &options, &error)) << error;
+  EXPECT_EQ(options.num_threads, 0);
+  EXPECT_EQ(options.sim_jobs, 1);
+  EXPECT_FALSE(options.validate);
+  const size_t standard = cases.size();  // what-ifs + the four default clusters
+
+  Args args;
+  args.command = "sweep";
+  args.flags["cluster"] = "2x2";
+  args.flags["gbps"] = "10,25";
+  args.flags["jobs"] = "3";
+  args.flags["sim-jobs"] = "2";
+  args.flags["validate"] = "1";
+  args.flags["pipeline-stages"] = "2";
+  args.flags["schedule"] = "1f1b";
+  ASSERT_TRUE(ParseSweepRequest(args, trace, &cases, &options, &error)) << error;
+  ASSERT_EQ(cases.size(), standard - 4 + 2 + 1);
+  EXPECT_EQ(cases.back().name, "pipeline 2st/4mb 1f1b");
+  EXPECT_EQ(options.num_threads, 3);
+  EXPECT_EQ(options.sim_jobs, 2);
+  EXPECT_TRUE(options.validate);
+}
+
+TEST(ParseSweepRequest, RejectsMalformedFlagsWithTheirNames) {
+  // jobs, sim_jobs, cluster and schedule refusals are held by
+  // ServeTest.SweepVerbRefusesMalformedFields through the same parser.
+  const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
+  const struct {
+    const char* flag;
+    const char* value;
+    const char* error;
+  } kCases[] = {
+      {"gbps", "fast", "bad --gbps 'fast'"},
+      {"microbatches", "4", "require --pipeline-stages"},
+  };
+  for (const auto& c : kCases) {
+    Args args;
+    args.flags[c.flag] = c.value;
+    std::vector<SweepCase> cases;
+    SweepOptions options;
+    std::string error;
+    EXPECT_FALSE(ParseSweepRequest(args, trace, &cases, &options, &error)) << c.flag;
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.flag << ": " << error;
+  }
+  // Pipeline cases need the trace's model in the zoo.
+  Args args;
+  args.flags["pipeline-stages"] = "2";
+  std::vector<SweepCase> cases;
+  SweepOptions options;
+  std::string error;
+  EXPECT_FALSE(ParseSweepRequest(args, Trace(), &cases, &options, &error));
+  EXPECT_NE(error.find("needed for --pipeline-stages"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -286,6 +286,32 @@ TEST_F(ServeTest, SweepVerbRanksCases) {
   EXPECT_NE(response.line.find("\"speedup_pct\": "), std::string::npos);
 }
 
+TEST_F(ServeTest, SweepVerbRefusesMalformedFields) {
+  RequestExecutor executor;
+  const std::string handle = Open(&executor);
+  // Each malformed field gets a bad_request envelope naming the CLI flag, as
+  // `daydream sweep` reports it (one parser serves both).
+  const struct {
+    const char* fields;
+    const char* error;
+  } kCases[] = {
+      {"\"jobs\": -1", "bad --jobs '-1'"},
+      {"\"sim_jobs\": 0", "bad --sim-jobs '0'"},
+      {"\"cluster\": \"4xa\"", "bad --cluster '4xa'"},
+      {"\"pipeline_stages\": 2, \"schedule\": \"warp\"", "bad --schedule 'warp'"},
+  };
+  for (const auto& c : kCases) {
+    const JsonObject response = Parse(
+        executor
+            .Handle("{\"verb\": \"sweep\", \"session\": \"" + handle + "\", " + c.fields + "}")
+            .line);
+    EXPECT_FALSE(response.GetBool("ok")) << c.fields;
+    EXPECT_EQ(response.GetString("code"), "bad_request") << c.fields;
+    EXPECT_NE(response.GetString("error").find(c.error), std::string::npos)
+        << c.fields << ": " << response.GetString("error");
+  }
+}
+
 TEST_F(ServeTest, SessionsVerbListsHandlesInOrderAndCloseRemoves) {
   RequestExecutor executor;
   const std::string first = Open(&executor);

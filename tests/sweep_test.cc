@@ -127,18 +127,35 @@ TEST(SweepRunner, GraphBaselineConstructorSweepsWithoutATrace) {
 }
 
 TEST(SweepRunner, SingleThreadAndEmptyCases) {
+  // 1 runs every case on the caller; 0 (one per hardware thread) and 8 give
+  // the empty matrix a pool sized below zero and the 6-case matrix more
+  // threads than cases. Every size returns the same outcomes in case order.
   const Daydream daydream(ResNetTrace());
-  SweepOptions options;
-  options.num_threads = 1;
-  const SweepRunner runner(daydream, options);
-  EXPECT_TRUE(runner.Run({}).empty());
+  const std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), {});
+  ASSERT_EQ(cases.size(), 6u);  // no clusters: framework + layer what-ifs
+  std::vector<SweepOutcome> serial;
+  for (const int threads : {1, 0, 8}) {
+    SweepOptions options;
+    options.num_threads = threads;
+    const SweepRunner runner(daydream, options);
+    EXPECT_TRUE(runner.Run({}).empty()) << "num_threads=" << threads;
 
-  const std::vector<SweepOutcome> outcomes =
-      runner.Run(BuildStandardSweep(ResNetTrace(), {}));
-  ASSERT_EQ(outcomes.size(), 6u);  // no clusters: framework + layer what-ifs
-  for (const SweepOutcome& o : outcomes) {
-    EXPECT_EQ(o.prediction.baseline, daydream.BaselineSimTime());
-    EXPECT_GT(o.prediction.predicted, 0);
+    const std::vector<SweepOutcome> outcomes = runner.Run(cases);
+    ASSERT_EQ(outcomes.size(), cases.size()) << "num_threads=" << threads;
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      const SweepOutcome& o = outcomes[i];
+      EXPECT_EQ(o.name, cases[i].name) << "num_threads=" << threads;
+      EXPECT_EQ(o.prediction.baseline, daydream.BaselineSimTime());
+      EXPECT_GT(o.prediction.predicted, 0);
+      if (!serial.empty()) {
+        EXPECT_EQ(o.prediction.predicted, serial[i].prediction.predicted)
+            << "num_threads=" << threads << ": " << o.name;
+        EXPECT_EQ(o.tasks, serial[i].tasks) << "num_threads=" << threads << ": " << o.name;
+      }
+    }
+    if (serial.empty()) {
+      serial = outcomes;
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -215,34 +214,6 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
   return flags;
 }
 
-namespace {
-
-// The stderr wrappers share one shape: run the core overload, print its
-// diagnostic on failure.
-template <typename Fn>
-auto PrintOnError(Fn&& fn) -> decltype(fn(std::declval<std::string*>())) {
-  std::string error;
-  auto result = fn(&error);
-  if (!result.has_value()) {
-    std::cerr << error << "\n";
-  }
-  return result;
-}
-
-}  // namespace
-
-std::optional<ClusterConfig> ParseCluster(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseCluster(args, error); });
-}
-
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseClusterList(args, error); });
-}
-
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParsePipelineFlags(args, error); });
-}
-
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error) {
   request->what_if = args.Get("what-if");
   request->validate = args.Has("validate");
@@ -280,6 +251,44 @@ bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* e
       request->pipeline.schedule = pipeline->schedules.front();
     }
   }
+  return true;
+}
+
+bool ParseSweepRequest(const Args& args, const Trace& trace, std::vector<SweepCase>* cases,
+                       SweepOptions* options, std::string* error) {
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, error);
+  if (!clusters.has_value()) {
+    return false;
+  }
+  const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
+  if (!jobs.has_value() || *jobs < 0) {
+    *error = "bad --jobs '" + args.Get("jobs") + "' (expected a non-negative integer)";
+    return false;
+  }
+  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error);
+  if (!pipeline.has_value()) {
+    return false;
+  }
+  *cases = BuildStandardSweep(trace, *clusters);
+  if (pipeline->enabled) {
+    PipelineSweepSpec spec;
+    spec.stages = pipeline->stages;
+    spec.microbatches = pipeline->microbatches;
+    spec.schedules = pipeline->schedules;
+    spec.network = pipeline->network;
+    if (!AppendPipelineSweep(cases, trace, spec)) {
+      *error = "trace lacks a known model name (needed for --pipeline-stages)";
+      return false;
+    }
+  }
+  const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
+  if (!sim_jobs.has_value() || *sim_jobs < 1) {
+    *error = "bad --sim-jobs '" + args.Get("sim-jobs") + "' (expected a positive integer)";
+    return false;
+  }
+  options->num_threads = *jobs;
+  options->validate = args.Has("validate");
+  options->sim_jobs = *sim_jobs;
   return true;
 }
 

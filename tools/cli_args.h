@@ -1,10 +1,9 @@
 // Command-line argument parsing for the daydream CLI, split out of the main
 // binary so unit tests can link against it.
 //
-// Every Parse* helper comes in two flavours: the core overload reports
-// malformed input through a std::string* (the serve protocol wraps it in a
-// per-request error envelope), and the historical overload prints the same
-// diagnostic to stderr for the CLI.
+// Every Parse* helper reports malformed input through a std::string*: the CLI
+// prints it to stderr, and the serve protocol wraps it in a per-request error
+// envelope.
 #ifndef TOOLS_CLI_ARGS_H_
 #define TOOLS_CLI_ARGS_H_
 
@@ -55,17 +54,14 @@ std::string UnknownCommandMessage(const std::string& command);
 std::optional<int> ParseInt(const std::string& text);
 std::optional<double> ParseDouble(const std::string& text);
 
-// Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error
-// (core) or prints a diagnostic to stderr and returns nullopt on malformed
-// input.
+// Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error and
+// returns nullopt on malformed input.
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error);
-std::optional<ClusterConfig> ParseCluster(const Args& args);
 
 // Builds the cluster matrix for `daydream sweep`: the cross product of
 // --cluster (comma-separated MxG shapes, default "2x1,2x2,4x1,4x2") and
 // --gbps (comma-separated bandwidths, default "10").
 std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error);
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args);
 
 // Pipeline-parallel what-if flags:
 //   --pipeline-stages N[,N...]   stage counts to evaluate (each >= 1)
@@ -74,7 +70,7 @@ std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args);
 // The first --gbps value (shared with the cluster flags; default 10) prices
 // the inter-stage P2P links, so pipeline and distributed cases rank under
 // the same network assumption. `enabled` is false when --pipeline-stages is
-// absent; --microbatches / --schedule without it are an error (diagnostic +
+// absent; --microbatches / --schedule without it are an error (*error +
 // nullopt), as is any malformed value.
 struct PipelineFlags {
   bool enabled = false;
@@ -84,7 +80,6 @@ struct PipelineFlags {
   NetworkSpec network;
 };
 std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error);
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args);
 
 // Builds the session-layer WhatIfRequest from predict-style flags: --what-if
 // plus --validate/--sim-jobs always, --cluster/--gbps for
@@ -94,6 +89,15 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args);
 // (TraceSession::ResolveTransform). Returns false with *error set on
 // malformed flags.
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error);
+
+// Builds the `daydream sweep` matrix and options from sweep flags: the
+// --cluster/--gbps matrix (ParseClusterList), --jobs, the pipeline flags
+// (appended through AppendPipelineSweep), --sim-jobs (default 1) and
+// --validate. The CLI and the serve `sweep` verb share it. Returns false
+// with *error set on malformed flags, or on pipeline flags over a trace
+// whose model is not in the zoo.
+bool ParseSweepRequest(const Args& args, const Trace& trace, std::vector<SweepCase>* cases,
+                       SweepOptions* options, std::string* error);
 
 }  // namespace daydream
 

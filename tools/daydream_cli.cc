@@ -384,42 +384,13 @@ int CmdSweep(const Args& args) {
   if (session == nullptr) {
     return 2;
   }
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args);
-  if (!clusters.has_value()) {
-    return 2;
-  }
-  const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
-  if (!jobs.has_value() || *jobs < 0) {
-    std::cerr << "bad --jobs '" << args.Get("jobs") << "' (expected a non-negative integer)\n";
-    return 2;
-  }
-  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args);
-  if (!pipeline.has_value()) {
-    return 2;
-  }
-
-  std::vector<SweepCase> cases = BuildStandardSweep(session->trace(), *clusters);
-  if (pipeline->enabled) {
-    PipelineSweepSpec spec;
-    spec.stages = pipeline->stages;
-    spec.microbatches = pipeline->microbatches;
-    spec.schedules = pipeline->schedules;
-    spec.network = pipeline->network;
-    if (!AppendPipelineSweep(&cases, session->trace(), spec)) {
-      std::cerr << "trace lacks a known model name (needed for --pipeline-stages)\n";
-      return 2;
-    }
-  }
-  const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
-  if (!sim_jobs.has_value() || *sim_jobs < 1) {
-    std::cerr << "bad --sim-jobs '" << args.Get("sim-jobs")
-              << "' (expected a positive integer)\n";
-    return 2;
-  }
+  std::vector<SweepCase> cases;
   SweepOptions options;
-  options.num_threads = *jobs;
-  options.validate = args.Has("validate");
-  options.sim_jobs = *sim_jobs;
+  std::string error;
+  if (!ParseSweepRequest(args, session->trace(), &cases, &options, &error)) {
+    std::cerr << error << "\n";
+    return 2;
+  }
   std::vector<SweepOutcome> outcomes = session->Sweep(cases, options);
   RankBySpeedup(&outcomes);
 
